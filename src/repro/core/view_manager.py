@@ -81,12 +81,15 @@ class FunctionBoundaryFinder:
         )
         epoch = self.physmem.code_epoch
         data = self.physmem.read(gpa_start, length)
-        first = (region_start + FUNCTION_ALIGN - 1) & ~(FUNCTION_ALIGN - 1)
-        addrs = [
-            addr
-            for addr in range(first, region_end, FUNCTION_ALIGN)
-            if data[addr - region_start : addr - region_start + len(sig)] == sig
-        ]
+        # walk the signature's occurrences (a C-speed search) and keep
+        # the aligned ones that start inside the region
+        addrs = []
+        end = region_end - region_start
+        pos = data.find(sig)
+        while 0 <= pos < end:
+            if (region_start + pos) % FUNCTION_ALIGN == 0:
+                addrs.append(region_start + pos)
+            pos = data.find(sig, pos + 1)
         self._prologues[key] = (epoch, addrs)
         return addrs
 

@@ -28,7 +28,7 @@ from repro.memory.layout import PAGE_SIZE, is_kernel_address
 from repro.memory.mmu import Mmu, TranslationError
 from repro.hypervisor.jit import BAIL as _JIT_BAIL
 from repro.hypervisor.jit import STALE as _JIT_STALE
-from repro.hypervisor.jit import JitState
+from repro.hypervisor.jit import JitState, intern_page
 from repro.hypervisor.vmexit import VmExit, VmExitReason
 from repro.telemetry import Counter, Telemetry
 
@@ -37,12 +37,12 @@ from repro.telemetry import Counter, Telemetry
 #: synthetic function bodies cheap to execute.
 _MAX_BLOCK_INSNS = 4096
 #: Process-wide ``(page bytes, offset, limit) -> block`` memo.  The
-#: per-machine decode cache fronts this, so it only sees each machine's
-#: cold misses; identical guest builds (benchmark reboots, fleet
-#: workers) then share one decode of every page.  Blocks are treated as
-#: immutable everywhere (the per-machine cache already shares them
-#: between vCPUs), and the key's page-bytes copy is computed by
-#: ``_decode_block`` anyway.
+#: per-machine decode cache fronts this for the interpreter, and the
+#: translator decodes through it directly, so identical guest builds
+#: (benchmark reboots, fleet workers) share one decode of every page.
+#: Blocks are treated as immutable everywhere (the per-machine cache
+#: already shares them between vCPUs).  Keys hold interned page bytes
+#: (``jit.intern_page``), one copy per distinct page.
 _block_memo: Dict[tuple, "_Block"] = {}
 _MAX_BLOCK_MEMO = 8192
 #: Ops that terminate a decoded block (control transfer or host interaction).
@@ -413,9 +413,10 @@ class Vcpu:
         Host-side administrative flush (snapshot capture/fork): these
         caches hold direct frame bytearray references that must not
         survive a CoW re-basing of physical memory.  Translated members
-        hold no frame references (only constants), but their
+        hold no frame references (only constants), but their tables'
         ``(hpfn, version)`` keys are meaningless across a re-based
-        physical memory, so they are dropped too and rebuild warm.
+        physical memory, so the tables are dropped too; forks refill
+        them from the process-wide translation cache.
         """
         self._stack_cache = None
         self._code_cache = None
@@ -428,7 +429,7 @@ class Vcpu:
     def _decode_block(
         self, frame: bytearray, offset: int, limit: Optional[int] = None
     ) -> _Block:
-        data = bytes(frame)
+        data = intern_page(frame)
         mkey = (data, offset, limit)
         memo = _block_memo.get(mkey)
         if memo is not None:
@@ -720,13 +721,13 @@ class Vcpu:
                 members = table.members
                 fn = members.get(eip & 0xFFF)
                 if fn is None and len(members) < jit.max_members:
-                    fn = jit.translate(self, frame, hpfn, version, eip, table)
+                    fn = jit.translate(self, eip, table)
             else:
                 n = heat.get(key, 0) + 1
                 if n >= jit.threshold:
-                    table = jit.promote(self, hpfn, version, vfn)
+                    table = jit.promote(self, frame, hpfn, version, vfn)
                     members = table.members
-                    fn = jit.translate(self, frame, hpfn, version, eip, table)
+                    fn = jit.translate(self, eip, table)
                 else:
                     if len(heat) > 8192:
                         heat.clear()
@@ -784,17 +785,12 @@ class Vcpu:
                             ):
                                 break
                             vfn = nvfn
-                            hpfn = nhpfn
-                            version = nversion
-                            frame = c2[5]
                             table = ntable
                             members = ntable.members
                         fn = members.get(nip & 0xFFF)
                         if fn is None:
                             if len(members) < jit.max_members:
-                                fn = jit.translate(
-                                    self, frame, hpfn, version, nip, table
-                                )
+                                fn = jit.translate(self, nip, table)
                             if fn is None:
                                 break
                 except TranslationError as exc:

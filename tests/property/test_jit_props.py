@@ -6,14 +6,19 @@ bridge side effects, sampler firings -- evolves bit-identically with
 translation on or off.  Random programs are run slice by slice on two
 otherwise identical worlds, with host-side events (trap arm/disarm
 mid-superblock, CoW-style code writes, sampler installation) injected
-between slices, and every observable compared after every slice.
+between slices, and every observable compared after every slice.  A
+second translated world then replays the scenario from the
+process-wide translation cache and must match slice by slice too.
 """
 
 import struct
+from contextlib import contextmanager
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.hypervisor.jit as jit_mod
 from repro.hypervisor.vcpu import SemanticsBridge, Vcpu
 from repro.hypervisor.vmexit import VmExitReason
 from repro.isa.opcodes import OP_ACT_SECOND, OP_CTXSW
@@ -197,30 +202,30 @@ def scenarios(draw):
     return preds, slots_tbl, slot_specs, events, arm_slot, cow_slot, budgets, interval
 
 
-@settings(max_examples=30, deadline=None)
-@given(scenarios())
-def test_translated_equals_interpreted(scenario):
-    preds, slots_tbl, slot_specs, events, arm_slot, cow_slot, budgets, interval = (
-        scenario
-    )
-    page = _assemble(slot_specs)
-    worlds = [_make_world(page, jit, preds, slots_tbl) for jit in (False, True)]
-    samples = [[], []]
+def _drive(worlds, scenario):
+    """Run ``worlds`` slice by slice through ``scenario``, injecting its
+    host-side events into each; assert that they agree after every
+    slice and return the per-slice observations and final memory."""
+    events, arm_slot, cow_slot, budgets, interval = scenario[3:]
+    samples = [[] for _ in worlds]
     if interval is not None:
         for (_, vcpu, _), record in zip(worlds, samples):
             _install_sampler(vcpu, record, interval)
+    observed = []
     for i, budget in enumerate(budgets):
         exits = [vcpu.run(budget=budget) for _, vcpu, _ in worlds]
-        assert _state(worlds[0][1], worlds[0][2], exits[0]) == _state(
-            worlds[1][1], worlds[1][2], exits[1]
-        )
-        assert samples[0] == samples[1]
+        slices = [
+            (_state(vcpu, bridge, exit_), tuple(record))
+            for (_, vcpu, bridge), exit_, record in zip(worlds, exits, samples)
+        ]
+        assert all(s == slices[0] for s in slices)
+        observed.append(slices[0])
         reason = exits[0].reason
         if reason is VmExitReason.ADDRESS_TRAP:
             for _, vcpu, _ in worlds:
                 vcpu.resume_past_trap()
         elif reason is not VmExitReason.BUDGET:
-            break  # parked (hlt), faulted, or #UD -- both agreed above
+            break  # parked (hlt), faulted, or #UD -- all agreed above
         event = events[i % len(events)]
         addr = CODE_BASE + arm_slot * SLOT
         if event == "arm":
@@ -231,9 +236,42 @@ def test_translated_equals_interpreted(scenario):
                 vcpu.disarm_trap(addr)
         elif event == "cow":
             # A host-side code write (the CoW shape): same bytes, same
-            # version bump, on both worlds.
+            # version bump, in every world.
             for physmem, _, _ in worlds:
                 physmem.write(CODE_BASE + cow_slot * SLOT, b"\x90")
                 physmem.bump_version(CODE_BASE >> 12)
     mem = [physmem.read(0x10000, 0x12000) for physmem, _, _ in worlds]
-    assert mem[0] == mem[1]
+    assert all(m == mem[0] for m in mem)
+    return observed, mem[0]
+
+
+@contextmanager
+def _counting_builds():
+    """An empty translation cache, and the entry offset of every member
+    generated inside the block."""
+    calls = []
+    real = jit_mod._Codegen.build
+
+    def counting(self, entry_off):
+        calls.append(entry_off)
+        return real(self, entry_off)
+
+    with mock.patch.object(jit_mod, "_TRANSLATIONS", {}):
+        with mock.patch.object(jit_mod._Codegen, "build", counting):
+            yield calls
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios())
+def test_translated_equals_interpreted(scenario):
+    preds, slots_tbl, slot_specs = scenario[:3]
+    page = _assemble(slot_specs)
+    with _counting_builds() as builds:
+        worlds = [_make_world(page, jit, preds, slots_tbl) for jit in (False, True)]
+        reference = _drive(worlds, scenario)
+        # a second translated world is served from the translation
+        # cache the first one filled, and must match just as exactly
+        del builds[:]
+        replay = _drive([_make_world(page, True, preds, slots_tbl)], scenario)
+    assert builds == []
+    assert replay == reference

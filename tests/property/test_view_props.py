@@ -17,12 +17,15 @@ from hypothesis import strategies as st
 from repro.core.kernel_view import KernelViewConfig
 from repro.core.rangelist import BASE_KERNEL, KernelProfile
 from repro.core.view_manager import (
+    FUNCTION_ALIGN,
     FunctionBoundaryFinder,
     ViewBuilder,
     gva_to_gpa,
 )
 from repro.guest.machine import boot_machine
-from repro.memory.layout import PAGE_SIZE
+from repro.isa.opcodes import PROLOGUE_SIGNATURE
+from repro.memory.layout import KERNEL_BASE, PAGE_SIZE
+from repro.memory.physmem import PhysicalMemory
 
 _MACHINE = boot_machine()
 _TEXT = (_MACHINE.image.text_start, _MACHINE.image.text_end)
@@ -105,3 +108,60 @@ def test_view_size_accounting(ranges):
         assert view.loaded_bytes <= total_pages * PAGE_SIZE
     finally:
         view.free()
+
+
+# -- prologue scan ----------------------------------------------------------
+
+#: guest-physical page the scanned regions start in
+_SCAN_GPA = 0x200000
+
+
+def _reference_prologues(data, region_start, region_end):
+    """The finder's former scan: probe every aligned slot of the region
+    for the signature (``data`` starts at ``region_start`` and runs
+    ``len(sig) - 1`` bytes past ``region_end``)."""
+    sig = PROLOGUE_SIGNATURE
+    first = (region_start + FUNCTION_ALIGN - 1) & ~(FUNCTION_ALIGN - 1)
+    return [
+        addr
+        for addr in range(first, region_end, FUNCTION_ALIGN)
+        if data[addr - region_start : addr - region_start + len(sig)] == sig
+    ]
+
+
+@st.composite
+def planted_regions(draw):
+    """Random bytes around a region, with signatures planted at aligned
+    addresses, at any address, and straddling ``region_end``."""
+    lead = draw(st.integers(0, 2 * FUNCTION_ALIGN - 1))
+    size = draw(st.integers(0, 600))
+    over = len(PROLOGUE_SIGNATURE) - 1
+    length = lead + size + over
+    blob = bytearray(draw(st.binary(min_size=length, max_size=length)))
+    start = KERNEL_BASE + _SCAN_GPA + lead
+    end = start + size
+    first = (start + FUNCTION_ALIGN - 1) & ~(FUNCTION_ALIGN - 1)
+    aligned = st.integers(0, size // FUNCTION_ALIGN + 1).map(
+        lambda k: first + k * FUNCTION_ALIGN
+    )
+    anywhere = st.integers(start - lead, end + over)
+    straddling = st.integers(end - over, end)
+    planted = st.lists(st.one_of(aligned, anywhere, straddling), max_size=16)
+    for addr in draw(planted):
+        for i, byte in enumerate(PROLOGUE_SIGNATURE):
+            pos = addr - start + lead + i
+            if 0 <= pos < len(blob):
+                blob[pos] = byte
+    return start, end, bytes(blob)
+
+
+@given(planted_regions())
+@settings(max_examples=200, deadline=None)
+def test_prologue_scan_matches_aligned_probe(region):
+    start, end, blob = region
+    physmem = PhysicalMemory()
+    physmem.write(_SCAN_GPA, blob)
+    over = len(PROLOGUE_SIGNATURE) - 1
+    data = physmem.read(gva_to_gpa(start), end - start + over)
+    got = FunctionBoundaryFinder(physmem)._prologue_index(start, end)
+    assert got == _reference_prologues(data, start, end)

@@ -1,8 +1,15 @@
 """Unit tests for the block-translation layer (repro.hypervisor.jit)."""
 
+import sys
+import threading
+from types import SimpleNamespace
+
 import pytest
 
+import repro.hypervisor.jit as jit_mod
 from repro.core.facechange import FaceChange
+from repro.fleet.jobs import execute_job, profile_app_offline
+from repro.fleet.spec import FleetJob
 from repro.guest.machine import boot_machine
 from repro.hypervisor.jit import env_jit_enabled
 from repro.hypervisor.vcpu import SemanticsBridge, Vcpu
@@ -23,12 +30,16 @@ class NullBridge(SemanticsBridge):
         return False
 
 
-def make_world(jit=True, threshold=1):
+def make_world(jit=True, threshold=1, next_gpa=None):
+    """A one-vCPU world with identity-mapped code and stack pages;
+    ``next_gpa`` maps the page after the first code page elsewhere."""
     physmem = PhysicalMemory()
     ept = ExtendedPageTable()
     pt = GuestPageTable()
     for gva in range(0x10000, 0x22000, PAGE_SIZE):
         pt.map_page(gva, gva)
+    if next_gpa is not None:
+        pt.map_page(CODE_BASE + PAGE_SIZE, next_gpa)
     mmu = Mmu(physmem, ept)
     mmu.set_cr3(pt)
     vcpu = Vcpu(0, mmu, NullBridge())
@@ -41,13 +52,13 @@ def make_world(jit=True, threshold=1):
     return physmem, vcpu
 
 
-def write_loop(physmem):
+def write_loop(physmem, base=CODE_BASE):
     """Two basic blocks jumping at each other: a fused superblock whose
     final transfer is a back-edge to the member entry."""
     a = b"\x90" * 4 + b"\xe9" + (0x17).to_bytes(4, "little")  # 0x0 -> 0x20
     b = b"\x90" * 4 + b"\xe9" + (-0x29 & 0xFFFFFFFF).to_bytes(4, "little")
-    physmem.write(CODE_BASE, a)
-    physmem.write(CODE_BASE + 0x20, b)
+    physmem.write(base, a)
+    physmem.write(base + 0x20, b)
 
 
 # -- env toggle ------------------------------------------------------------
@@ -114,7 +125,6 @@ def test_superblock_fuses_loop_and_counts():
     # the loop body became a member of the page's table
     group = next(iter(jit.tables.values()))
     assert 0 in group.active.members
-    assert group.active.keys[0]  # constituent decode keys registered
 
 
 def test_set_jit_off_drops_state_and_stays_identical():
@@ -222,6 +232,137 @@ def test_spanning_instruction_executes_identically():
         results.append((vcpu.esp, vcpu.cycles, vcpu.instructions))
         assert vcpu.read_stack_u32(vcpu.esp) == imm
     assert results[0] == results[1]
+
+
+# -- process-wide translation cache ----------------------------------------
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """An empty translation cache, and the entry offset of every
+    member generated while the test runs."""
+    monkeypatch.setattr(jit_mod, "_TRANSLATIONS", {})
+    calls = []
+    real = jit_mod._Codegen.build
+
+    def counting(self, entry_off):
+        calls.append(entry_off)
+        return real(self, entry_off)
+
+    monkeypatch.setattr(jit_mod._Codegen, "build", counting)
+    return calls
+
+
+def test_spanning_member_is_keyed_by_the_next_frame(builds):
+    """The same spanning instruction with the next virtual page on a
+    different frame: the second machine must build its own member (the
+    first one's guard names the other frame), and a third machine with
+    the first mapping still finds the first member."""
+    off = PAGE_SIZE - 2  # push imm32 spanning the page boundary
+    imm = 0x11223344
+    spans = []
+    for next_gpa in (CODE_BASE + PAGE_SIZE, 0x30000, CODE_BASE + PAGE_SIZE):
+        results = []
+        for jit in (False, True):
+            del builds[:]
+            _, vcpu = make_world(jit=jit, next_gpa=next_gpa)
+            mmu = vcpu.mmu
+            mmu.write(CODE_BASE + off, b"\x68" + imm.to_bytes(4, "little"))
+            mmu.write(CODE_BASE + off + 5, b"\xf4")  # hlt on page 2
+            rel = off - 5
+            mmu.write(CODE_BASE, b"\xe9" + (rel & 0xFFFFFFFF).to_bytes(4, "little"))
+            for _ in range(6):
+                exit_ = vcpu.run(budget=100)
+                assert exit_.reason is VmExitReason.HLT
+                vcpu.eip = CODE_BASE
+            assert vcpu.read_stack_u32(vcpu.esp) == imm
+            results.append((vcpu.esp, vcpu.cycles, vcpu.instructions))
+            if jit:
+                assert not vcpu._jit.invalidations.values.get("cross-page")
+                spans.append(builds.count(off))
+        assert results[0] == results[1]
+    assert spans == [1, 1, 0]
+
+
+def test_members_are_keyed_by_virtual_page_and_irq_state(builds):
+    """The same loop bytes at another virtual page, or on a vCPU with a
+    published interrupt deadline, must get members of their own: both
+    bake the difference into the generated code."""
+
+    def run(base, irq_state, jit):
+        physmem, vcpu = make_world(jit=jit)
+        vcpu.irq_state = irq_state
+        vcpu.eip = base
+        write_loop(physmem, base)
+        vcpu.run(budget=200)
+        return vcpu.eip, vcpu.cycles, vcpu.instructions
+
+    never = SimpleNamespace(next_event=1 << 62)
+    worlds = [(CODE_BASE, None), (CODE_BASE + 2 * PAGE_SIZE, None), (CODE_BASE, never)]
+    for base, irq_state in worlds:
+        del builds[:]
+        assert run(base, irq_state, True) == run(base, irq_state, False)
+        assert 0 in builds
+
+
+@pytest.fixture(scope="module")
+def top_record():
+    return profile_app_offline("top", scale=1)
+
+
+def _score_and_jit_counters(result):
+    telemetry = result.telemetry
+    return (
+        result.score,
+        {k: v for k, v in telemetry["counters"].items() if k.startswith("jit.")},
+        telemetry["labelled_counters"].get("jit.invalidations"),
+    )
+
+
+def test_second_fork_is_served_from_the_translation_cache(
+    builds, monkeypatch, top_record
+):
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    snapshot = boot_machine(platform=Platform.KVM).snapshot()
+    job = FleetJob(app="top", scale=1, name="top#0")
+    first = execute_job(snapshot.fork(), job, top_record)
+    assert builds
+    del builds[:]
+    second = execute_job(snapshot.fork(), job, top_record)
+    assert builds == []
+    assert _score_and_jit_counters(second) == _score_and_jit_counters(first)
+    assert first.telemetry["counters"]["jit.promotions"] > 0
+
+
+def test_threads_racing_on_an_empty_cache_match_a_serial_run(
+    builds, monkeypatch, top_record
+):
+    """More worker threads than cores fill one empty cache at once, with
+    a short switch interval: every job scores and counts exactly like a
+    serial run (a lost insert may only cost a rebuild)."""
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    snapshot = boot_machine(platform=Platform.KVM).snapshot()
+    job = FleetJob(app="top", scale=1, name="top#0")
+    expected = _score_and_jit_counters(execute_job(snapshot.fork(), job, top_record))
+    monkeypatch.setattr(jit_mod, "_TRANSLATIONS", {})
+    forks = [snapshot.fork() for _ in range(4)]
+    results = [None] * len(forks)
+
+    def work(i):
+        results[i] = _score_and_jit_counters(execute_job(forks[i], job, top_record))
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(forks))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [expected] * len(forks)
 
 
 # -- machine / facechange / fork wiring ------------------------------------
