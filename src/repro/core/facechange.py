@@ -81,22 +81,21 @@ class FaceChange:
         self.log = RecoveryLog()
         self.builder = ViewBuilder(machine, widen=widen_views)
         self.recovery = RecoveryEngine(machine, self.log)
-        self._selector_map: Dict[str, int] = {}
-        self.switcher = ViewSwitcher(machine, self._select_view)
+        selector_map: Dict[str, int] = {}
+        self._selector_map = selector_map
+        # KERNEL_VIEW_SELECTOR: closes over the map, not over self, so
+        # the switcher holds no reference back to this object
+        self.switcher = ViewSwitcher(
+            machine,
+            lambda comm: selector_map.get(comm, FULL_KERNEL_VIEW_INDEX),
+        )
         self._next_index = 0
         self.enabled = False
-        self._stats = FaceChangeStats(self)
         #: statistical observability attached via environment knobs
         #: (``REPRO_SAMPLE_INTERVAL``, ``REPRO_PROBE_FUNCS``) on enable()
         self.sampler = None
         self.probe_engine = None
         machine.runtime.module_load_listeners.append(self._on_module_loaded)
-
-    # -- selector -----------------------------------------------------------------
-
-    def _select_view(self, comm: str) -> int:
-        """KERNEL_VIEW_SELECTOR: map a process name to its view index."""
-        return self._selector_map.get(comm, FULL_KERNEL_VIEW_INDEX)
 
     # -- enable / disable ------------------------------------------------------------
 
@@ -240,4 +239,4 @@ class FaceChange:
 
     @property
     def stats(self) -> FaceChangeStats:
-        return self._stats
+        return FaceChangeStats(self)

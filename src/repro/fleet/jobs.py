@@ -175,7 +175,10 @@ def run_job_on_fresh_machine(
     fleet clones' to prove bit-identity.
     """
     machine = boot_machine(config=job.guest)
-    return execute_job(machine, job, record, base_seed=base_seed)
+    try:
+        return execute_job(machine, job, record, base_seed=base_seed)
+    finally:
+        machine.close()
 
 
 def profile_app_offline(

@@ -100,6 +100,7 @@ def _run_job(job_data: Dict[str, Any]) -> Dict[str, Any]:
     bus = _WORKER.get("bus")
     journal = None
     progress = None
+    clone = None
     try:
         guest = job.guest_config()
         digest = guest.digest()
@@ -184,6 +185,9 @@ def _run_job(job_data: Dict[str, Any]) -> Dict[str, Any]:
                     "error": result.error,
                 }
             )
+    finally:
+        if clone is not None:
+            clone.close()
     data = result.to_dict()
     data["telemetry"] = result.telemetry
     return data

@@ -15,7 +15,14 @@ produces any number of independent clones:
   runtime's tasks/subsystems, telemetry) is structurally cloned with
   internal aliasing preserved, so a clone is indistinguishable from a
   freshly booted machine -- same virtual clock, same frame versions,
-  same task table -- and runs **bit-identically** to one.
+  same task table -- and runs **bit-identically** to one.  What no job
+  mutates is shared instead: the semantic registry and the kernel's
+  frozen :class:`~repro.kernel.image.Symbol` objects (the symbol table
+  holding them is still per clone).
+
+Whoever runs a job on a clone calls
+:meth:`~repro.guest.machine.Machine.close` when the job ends, so the
+clone is freed by reference counting, not by the cyclic collector.
 
 Pristine means: booted, but no user tasks spawned, no FACE-CHANGE
 attached, no views loaded.  User-task drivers are Python generators
@@ -28,6 +35,7 @@ profiles *per clone*, after forking.
 from __future__ import annotations
 
 import copy
+import threading
 from typing import Dict, Optional
 
 from repro.guest.config import GuestConfig
@@ -111,7 +119,10 @@ class MachineSnapshot:
     def __init__(self, template: Machine, base_frames: Dict[int, bytes]) -> None:
         self._template = template
         self._base_frames = base_frames
+        #: forks made so far; pool workers, its refill thread and the
+        #: fleet's thread pool fork one snapshot concurrently
         self.fork_count = 0
+        self._count_lock = threading.Lock()
         #: the guest build this snapshot was captured from
         self.config: GuestConfig = template.config
         self.guest_digest: str = template.config.digest()
@@ -159,5 +170,6 @@ class MachineSnapshot:
             self._base_frames,
             template.physmem._versions,
         )
-        self.fork_count += 1
+        with self._count_lock:
+            self.fork_count += 1
         return clone

@@ -243,6 +243,30 @@ class Machine:
 
         return MachineSnapshot.capture(self)
 
+    def close(self) -> None:
+        """Break the back-references that make a finished machine cyclic.
+
+        Drops the hypervisor's trap entries and its ``#UD`` and idle
+        handlers, the runtime's module-load listeners and vCPU
+        back-references, and the shared-frame store's owner lists, so a
+        dropped machine -- and the FACE-CHANGE instance attached to it
+        -- is freed by reference counting rather than waiting for the
+        cyclic collector.  The machine cannot run afterwards.
+
+        A sampler or probes installed from the environment
+        (``REPRO_SAMPLE_INTERVAL``, ``REPRO_PROBE_FUNCS``) still form a
+        few small cycles; those are left to the collector.
+        """
+        hv = self.hypervisor
+        hv._trap_entries.clear()
+        hv.set_invalid_opcode_handler(None)
+        hv.set_idle_handler(None)
+        if self.runtime is not None:
+            self.runtime.module_load_listeners.clear()
+            self.runtime.vcpus.clear()
+            self.runtime.active_vcpu = None
+        self.physmem.shared._owners.clear()
+
     # -- conveniences ------------------------------------------------------------
 
     @property

@@ -348,7 +348,7 @@ class Hypervisor:
     ) -> None:
         self._invalid_opcode_handler = handler
 
-    def set_idle_handler(self, handler: IdleHandler) -> None:
+    def set_idle_handler(self, handler: Optional[IdleHandler]) -> None:
         self._idle_handler = handler
 
     def charge(self, vcpu: Vcpu, cycles: int) -> None:

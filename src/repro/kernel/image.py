@@ -40,12 +40,16 @@ class SymbolError(KeyError):
     """Unknown symbol during relocation or lookup."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class Symbol:
     name: str
     address: int
     size: int
     module: Optional[str]  # None = base kernel
+
+    def __deepcopy__(self, memo: dict) -> "Symbol":
+        # immutable: snapshot forks share one instance
+        return self
 
 
 @dataclass

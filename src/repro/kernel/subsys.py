@@ -8,6 +8,12 @@ the :class:`repro.kernel.runtime.KernelRuntime`.
 
 Error returns follow Linux conventions: negative errno values
 (-EAGAIN = -11, -EINTR = -4, -ECHILD = -10).
+
+A blocking act (``*_block``) re-checks its own wait predicate before it
+blocks, the way Linux re-checks the condition after ``prepare_to_wait``:
+guest code runs between the predicate and the act, and a wakeup that
+lands in that window (an interrupt cooking tty input, say) would
+otherwise be lost and leave the task blocked for good.
 """
 
 from __future__ import annotations
@@ -255,9 +261,8 @@ class FsState:
         )
 
     def pipe_read_block(self, rt) -> None:
-        pipe = self._pipe(rt)
-        if pipe is not None:
-            rt.block_current(pipe.wait_read)
+        if self.pipe_read_wait(rt):
+            rt.block_current(self._pipe(rt).wait_read)
 
     def pipe_do_read(self, rt) -> None:
         pipe = self._pipe(rt)
@@ -285,9 +290,8 @@ class FsState:
         )
 
     def pipe_write_block(self, rt) -> None:
-        pipe = self._pipe(rt)
-        if pipe is not None:
-            rt.block_current(pipe.wait_write)
+        if self.pipe_write_wait(rt):
+            rt.block_current(self._pipe(rt).wait_write)
 
     def pipe_do_write(self, rt) -> None:
         pipe = self._pipe(rt)
@@ -653,9 +657,8 @@ class NetState:
         )
 
     def accept_block(self, rt) -> None:
-        sock = self._sock(rt)
-        if sock is not None:
-            rt.block_current(sock.wait_accept)
+        if self.accept_wait(rt):
+            rt.block_current(self._sock(rt).wait_accept)
 
     def do_accept(self, rt) -> None:
         sock = self._sock(rt)
@@ -732,9 +735,8 @@ class NetState:
         )
 
     def rx_block(self, rt) -> None:
-        sock = self._sock(rt)
-        if sock is not None:
-            rt.block_current(sock.wait_rx)
+        if self.rx_wait(rt):
+            rt.block_current(self._sock(rt).wait_rx)
 
     def do_recv(self, rt) -> None:
         sock = self._sock(rt)
@@ -919,7 +921,8 @@ class TtyState:
         return self.cooked == 0 and not rt.signals.pending_raw(rt.current)
 
     def read_block(self, rt) -> None:
-        rt.block_current(self.wait_input)
+        if self.read_wait(rt):
+            rt.block_current(self.wait_input)
 
     def do_read(self, rt) -> None:
         if self.cooked == 0:
@@ -1225,7 +1228,8 @@ class TasksApi:
         return not zombies and not SignalState.pending_raw(task)
 
     def wait_block(self, rt) -> None:
-        rt.block_current(rt.current.wait_child)
+        if self.wait_no_child(rt):
+            rt.block_current(rt.current.wait_child)
 
     def reap_child(self, rt) -> None:
         task = rt.current

@@ -34,6 +34,12 @@ class _PageTableLevel2:
     def __init__(self) -> None:
         self.entries: Dict[int, int] = {}
 
+    def __deepcopy__(self, memo: dict) -> "_PageTableLevel2":
+        # int -> int: a flat copy is a deep one, without per-item dispatch
+        table = _PageTableLevel2()
+        table.entries = self.entries.copy()
+        return table
+
 
 class GuestPageTable:
     """A two-level guest page table.

@@ -13,6 +13,7 @@ blocks for that page.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.memory.layout import PAGE_SIZE
@@ -38,7 +39,8 @@ class SharedFrameStore:
     """
 
     def __init__(self, physmem: "PhysicalMemory") -> None:
-        self._physmem = physmem
+        # weak: the memory owns its store, not the other way round
+        self._physmem = weakref.proxy(physmem)
         #: hpfn -> number of shared mappings (CoW-protected frames)
         self.refs: Dict[int, int] = {}
         #: gpfn -> views holding a shared mapping for that page

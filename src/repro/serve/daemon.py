@@ -752,6 +752,7 @@ class ServeDaemon:
             # final journal segment, success or abort
             ship_segment()
             clone.stop_recording()
+            clone.close()
             if trace_writer is not None:
                 try:
                     trace_writer.close()

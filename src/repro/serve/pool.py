@@ -92,8 +92,8 @@ class WarmPool:
                 self._refill_wake.set()
                 return clone
             snapshot = self._snapshots[digest]
-        self._misses[digest] = self._misses.get(digest, 0) + 1
-        self._count("serve.pool.misses", digest)
+            self._misses[digest] = self._misses.get(digest, 0) + 1
+            self._count("serve.pool.misses", digest)
         return snapshot.fork(expect_digest=digest)
 
     # -- background refill ----------------------------------------------------

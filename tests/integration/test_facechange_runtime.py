@@ -68,7 +68,7 @@ def test_unknown_process_gets_full_view(topview):
     fc = FaceChange(machine)
     fc.enable()
     fc.load_view(topview, comm="top")
-    assert fc._select_view("random") == FULL_KERNEL_VIEW_INDEX
+    assert fc.switcher.selector("random") == FULL_KERNEL_VIEW_INDEX
 
     def other():
         fd = yield Sys("open", path="/data/z")

@@ -1,13 +1,22 @@
 """Snapshot/fork: bit-identity with fresh boots and CoW isolation."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.apps.base import launch
 from repro.apps.catalog import APP_CATALOG
 from repro.core.facechange import FaceChange
+from repro.fleet import ProfileLibrary, prepare_offline_phase
+from repro.fleet.jobs import execute_job, profile_app_offline
 from repro.fleet.snapshot import MachineSnapshot, SnapshotError
+from repro.fleet.spec import FleetJob
 from repro.guest.machine import boot_machine
 from repro.kernel.runtime import Platform
+from repro.malware import ALL_ATTACKS
+from repro.memory.layout import KERNEL_BASE, KERNEL_TEXT_BASE, PAGE_SHIFT
+from repro.serve import ServeDaemon
 
 
 def _run_top(machine, seed=1234, scale=2):
@@ -115,3 +124,148 @@ def test_source_machine_stays_usable_after_capture():
     source_score = _run_top(machine)
     clone_score = _run_top(snap.fork())
     assert source_score == clone_score
+
+
+# -- what forks share and what they copy -------------------------------------
+
+
+def test_forks_share_kernel_symbol_objects(snapshot):
+    a, b = snapshot.fork(), snapshot.fork()
+    assert a.image.symbols is not b.image.symbols
+    assert a.image.symbols.keys() == b.image.symbols.keys()
+    for name, symbol in a.image.symbols.items():
+        assert b.image.symbols[name] is symbol
+    for x, y in zip(a.image._sorted_symbols, b.image._sorted_symbols):
+        assert x is y
+
+
+def test_module_hot_loaded_in_one_clone_stays_in_that_clone(snapshot):
+    kbeast = next(a for a in ALL_ATTACKS if a.name == "KBeast")
+    infected, sibling = snapshot.fork(), snapshot.fork()
+    handle = kbeast.launch(infected, scale=1)
+    infected.run(
+        until=lambda: handle.finished,
+        max_cycles=infected.cycles + 10_000_000_000,
+        step_budget=50_000,
+    )
+    assert handle.finished
+    assert "kbeast_sys_read" in infected.image.symbols
+    assert any(s.module == "kbeast" for s in infected.image._sorted_symbols)
+    for clone in (sibling, snapshot.fork()):
+        assert "kbeast_sys_read" not in clone.image.symbols
+        assert "kbeast" not in clone.image.modules
+        assert not any(s.module == "kbeast" for s in clone.image._sorted_symbols)
+
+
+def test_kernel_page_table_edits_stay_in_their_clone(snapshot):
+    gva = KERNEL_TEXT_BASE
+    original = snapshot.fork().kernel_page_table.translate_page(gva)
+    assert original is not None
+    dirty, sibling = snapshot.fork(), snapshot.fork()
+    dirty.kernel_page_table.map_page(gva, 0x00123000)
+    assert dirty.kernel_page_table.translate_page(gva) == 0x123
+    assert sibling.kernel_page_table.translate_page(gva) == original
+    assert snapshot.fork().kernel_page_table.translate_page(gva) == original
+
+
+def test_process_page_table_aliases_its_own_clones_kernel_tables(snapshot):
+    clone = snapshot.fork()
+    task = launch(clone, "top", APP_CATALOG["top"], scale=1).task
+    kernel_dir = clone.kernel_page_table._directory
+    template_dir = snapshot._template.kernel_page_table._directory
+    first_kernel_index = (KERNEL_BASE >> PAGE_SHIFT) >> 10
+    shared = [i for i in kernel_dir if i >= first_kernel_index]
+    assert shared
+    for index in shared:
+        table = task.page_table._directory[index]
+        assert table is kernel_dir[index]
+        assert table is not template_dir[index]
+
+
+# -- a finished clone dies by reference counting -----------------------------
+
+
+def _machine_refs(machine):
+    """Weak references to a machine and the parts a cycle would pin."""
+    parts = [
+        machine,
+        machine.hypervisor,
+        machine.runtime,
+        machine.physmem,
+        *machine.vcpus,
+    ]
+    return [weakref.ref(part) for part in parts]
+
+
+def _alive(refs):
+    return [type(ref()).__name__ for ref in refs if ref() is not None]
+
+
+@pytest.fixture(scope="module")
+def records():
+    return {app: profile_app_offline(app, scale=1) for app in ("top", "bash")}
+
+
+@pytest.mark.parametrize(
+    "app,attack", [("top", None), ("bash", "KBeast"), ("top", "Injectso")]
+)
+def test_closed_clone_is_freed_without_the_collector(
+    snapshot, records, app, attack
+):
+    refs = []
+
+    def progress(machine, fc):
+        if not refs:
+            refs.extend(_machine_refs(machine))
+            refs.append(weakref.ref(fc))
+
+    gc.collect()
+    gc.disable()
+    try:
+        clone = snapshot.fork()
+        job = FleetJob(app=app, attack=attack, scale=1)
+        result = execute_job(clone, job, records[app], progress=progress)
+        assert result.ok
+        clone.close()
+        del clone
+        assert len(refs) == 6
+        assert _alive(refs) == []
+    finally:
+        gc.enable()
+
+
+def test_daemon_job_clone_is_freed_without_the_collector(
+    tmp_path, monkeypatch
+):
+    import repro.fleet.jobs as jobs_mod
+
+    library = ProfileLibrary(str(tmp_path / "lib"))
+    prepare_offline_phase(library, ["top"], scale=1)
+    daemon = ServeDaemon(library, min_workers=1, max_workers=1, warm_target=1)
+    refs = []
+    acquire = daemon.pool.acquire
+
+    def tracking_acquire(config):
+        clone = acquire(config)
+        refs.extend(_machine_refs(clone))
+        return clone
+
+    def tracking_facechange(machine):
+        fc = FaceChange(machine)
+        refs.append(weakref.ref(fc))
+        return fc
+
+    monkeypatch.setattr(daemon.pool, "acquire", tracking_acquire)
+    monkeypatch.setattr(jobs_mod, "FaceChange", tracking_facechange)
+    gc.collect()
+    gc.disable()
+    daemon.start()
+    try:
+        qjob = daemon.submit({"app": "top", "scale": 1})
+        done = daemon.queue.wait_terminal(qjob.id, timeout=120.0)
+        assert done is not None and done.state == "done", done.error
+        assert len(refs) == 6
+        assert _alive(refs) == []
+    finally:
+        gc.enable()
+        daemon.shutdown(timeout=30.0)

@@ -260,6 +260,39 @@ class TestNetTables:
         assert sock.bound_port >= 32768
 
 
+class TestBlockRechecksWait:
+    """A wakeup landing between a wait check and its block act is kept."""
+
+    def test_tty_read_does_not_block_on_input_cooked_in_the_window(self, rt):
+        rt.syscall("read", fd=0, count=4)
+        assert rt.tty.read_wait(rt)
+        # the keyboard interrupt lands after the check, before the block
+        rt.tty.inject_keystrokes(0, 3)
+        rt.tty.on_input(rt)
+        rt.tty.cook(rt)
+        rt.tty.read_block(rt)
+        assert rt.current.state != TaskState.BLOCKED
+        assert rt.current not in rt.tty.wait_input.waiters
+
+    def test_tty_read_blocks_without_input(self, rt):
+        rt.syscall("read", fd=0, count=4)
+        rt.tty.read_block(rt)
+        assert rt.current.state == TaskState.BLOCKED
+        assert rt.current in rt.tty.wait_input.waiters
+
+    def test_pipe_read_does_not_block_on_data_written_in_the_window(self, rt):
+        rt.syscall("pipe")
+        rt.fs.pipe_create(rt)
+        rfd, _ = rt.ctx.retval
+        pipe = rt.current.fd_table[rfd].obj
+        rt.syscall("read", fd=rfd, count=100)
+        assert rt.fs.pipe_read_wait(rt)
+        pipe.count = 64
+        rt.fs.pipe_read_block(rt)
+        assert rt.current.state != TaskState.BLOCKED
+        assert rt.current not in pipe.wait_read.waiters
+
+
 class TestTty:
     def test_input_cook_wake(self, rt):
         rt.tty.inject_keystrokes(0, 5)
