@@ -12,7 +12,7 @@ deterministic seed, and returns scores + telemetry.
 Because clones are bit-identical to freshly booted machines and seeds
 are derived deterministically, a job's virtual-cycle score is the same
 whether it ran in a fleet worker or alone on a dedicated machine --
-``benchmarks/record_fleet_throughput.py`` enforces exactly that.
+the ``fleet`` scenario of ``benchmarks/gates.py`` enforces exactly that.
 """
 
 from __future__ import annotations
@@ -207,24 +207,31 @@ def profile_app_offline(
     guest_config = resolve_guest(guest)
     machine = boot_machine(config=guest_config.with_platform(QEMU_TSC))
     profiler = Profiler(machine)
-    profiler.track(app)
-    profiler.install()
-    handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-    handle.run_to_completion(max_cycles=max_cycles)
-    if not handle.finished:
-        raise RuntimeError(f"profiling workload for {app!r} did not finish")
-    config = profiler.export(app)
+    try:
+        profiler.track(app)
+        profiler.install()
+        handle = launch(machine, app, APP_CATALOG[app], scale=scale)
+        handle.run_to_completion(max_cycles=max_cycles)
+        if not handle.finished:
+            raise RuntimeError(f"profiling workload for {app!r} did not finish")
+        config = profiler.export(app)
+    finally:
+        profiler.uninstall()
+        machine.close()
     clean = boot_machine(config=guest_config.with_platform(KVM_PVCLOCK))
-    fc = FaceChange(clean)
-    fc.enable()
-    fc.load_view(config, comm=app)
-    clean_handle = launch(clean, app, APP_CATALOG[app], scale=scale)
-    clean.run(
-        until=lambda: clean_handle.finished,
-        max_cycles=max_cycles,
-        step_budget=50_000,
-    )
-    baseline = sorted({e.function_name for e in fc.log.events})
+    try:
+        fc = FaceChange(clean)
+        fc.enable()
+        fc.load_view(config, comm=app)
+        clean_handle = launch(clean, app, APP_CATALOG[app], scale=scale)
+        clean.run(
+            until=lambda: clean_handle.finished,
+            max_cycles=max_cycles,
+            step_budget=50_000,
+        )
+        baseline = sorted({e.function_name for e in fc.log.events})
+    finally:
+        clean.close()
     return ProfileRecord(
         config=config,
         baseline=baseline,

@@ -22,8 +22,9 @@ Two content digests identify a config:
   (same vmlinux, different clocksource).
 
 The default config reproduces the historical hard-coded build
-bit-identically (``benchmarks/record_matrix.py`` gates the image bytes
-and virtual-cycle scores against pre-refactor values).
+bit-identically (the ``matrix`` scenario of ``benchmarks/gates.py``
+gates the image bytes and virtual-cycle scores against pre-refactor
+values).
 
 Validation is catalog-aware: module names must exist in
 :data:`repro.kernel.catalog.MODULES`, and the subset must be closed

@@ -13,7 +13,7 @@ actually operates on:
   telemetry merge) on a wall-clock cadence.  Every input is a
   snapshot/merge path: the recorder never touches a running guest, so
   virtual-cycle scores are bit-identical with metrics on or off
-  (``benchmarks/record_metrics_overhead.py`` gates it);
+  (the ``metrics`` scenario of ``benchmarks/gates.py`` gates it);
 * :class:`AlertRule` / :class:`AlertEngine` -- declarative threshold /
   rate / delta rules evaluated each sample tick, firing and resolving
   as transitions the daemon turns into ``alert`` events,

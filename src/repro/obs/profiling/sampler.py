@@ -10,8 +10,8 @@ stacks per ``(comm, view, cpu)``.
 
 Determinism contract: sampling *reads* vCPU state and guest memory and
 charges **zero** cycles -- virtual-cycle scores are bit-identical with
-the sampler on or off (``benchmarks/record_profiling_overhead.py``
-gates this).  Due cycles are aligned to the interval grid
+the sampler on or off (the ``profiling`` scenario of
+``benchmarks/gates.py`` gates this).  Due cycles are aligned to the interval grid
 (``((cycles // interval) + 1) * interval``), so two runs of the same
 deterministic workload sample at identical virtual instants and the
 profile itself is reproducible.

@@ -22,8 +22,8 @@ shutdown -- ends with a ``footer``.  Body records are:
   coalescing.  Replaying them through a fresh bank runs the exact code
   the live recorder ran, so the reconstructed
   :class:`~repro.obs.metrics.MultiResolutionSeries` export is
-  bit-equal to a live scrape (``benchmarks/record_obsstore_overhead.py``
-  gates this).
+  bit-equal to a live scrape (the ``obsstore`` scenario of
+  ``benchmarks/gates.py`` gates this).
 * ``alert`` -- one :class:`~repro.obs.metrics.AlertTransition` edge.
 * ``event`` -- one daemon lifecycle event (queued / start / heartbeat /
   done / cancelled / rejected / scaled / serve-*), stamped with the

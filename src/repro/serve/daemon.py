@@ -19,8 +19,8 @@ Jobs execute through exactly the same :func:`repro.fleet.jobs.execute_job`
 path as the batch fleet, on forks pinned by config digest, with seeds
 derived from the same ``identity()#index`` naming convention -- so a
 daemon-submitted job's virtual-cycle score is bit-identical to the same
-job in a ``repro fleet`` batch (``benchmarks/record_serve_throughput.py``
-enforces it).
+job in a ``repro fleet`` batch (the ``serve`` scenario of
+``benchmarks/gates.py`` enforces it).
 
 Telemetry: the daemon keeps its own ``serve.*`` registry (submissions,
 rejections by reason, pool hits/misses/refills, worker scale events)
@@ -67,7 +67,8 @@ from repro.telemetry.merge import empty_merge, merge_into
 #: Capacity of each job's in-memory journal between segment drains.
 _JOB_JOURNAL_CAPACITY = 4096
 
-#: Events retained for late ``watch`` subscribers.
+#: Lifecycle events retained for late ``watch`` subscribers (journal
+#: segments go to live subscribers only).
 _EVENT_BACKLOG = 8192
 
 #: Per-subscriber bounded event buffer (slow watchers drop, not block).
@@ -78,11 +79,21 @@ class ServeError(Exception):
     """Daemon-side operational failure (not an admission rejection)."""
 
 
+#: Job error per abort reason (the timeout text is the fleet runner's).
+_ABORT_ERRORS = {
+    "cancelled": "cancelled while running",
+    "tenant-budget": "tenant virtual-cycle budget exhausted mid-job",
+    "timeout": "TimeoutError: job exceeded wall-clock timeout",
+}
+
+
 class JobAborted(Exception):
     """Raised from the progress hook to stop a running job.
 
-    ``reason`` is ``"cancelled"`` or ``"tenant-budget"``;
-    ``consumed_cycles`` is charged against the tenant either way.
+    ``reason`` is ``"cancelled"``, ``"tenant-budget"`` or ``"timeout"``
+    (the job's wall-clock ``timeout``, counted from when a worker
+    started it); ``consumed_cycles`` is charged against the tenant
+    either way.
     """
 
     def __init__(self, reason: str, consumed_cycles: int) -> None:
@@ -118,10 +129,6 @@ class EventSink:
                 self.dropped_total += 1
                 self._dropped_pending += 1
             return False
-
-    # kept as an alias so anything treating the sink as a plain queue
-    # (older call sites, tests) still works
-    put = offer
 
     def get(self, timeout: Optional[float] = None) -> Dict[str, Any]:
         return self._queue.get(timeout=timeout)
@@ -417,22 +424,21 @@ class ServeDaemon:
         with self._event_lock:
             self._event_seq += 1
             event = {"seq": self._event_seq, **message}
-            self._events.append(event)
-            if len(self._events) > _EVENT_BACKLOG:
-                del self._events[: len(self._events) - _EVENT_BACKLOG]
             subscribers = list(self._subscribers)
-            if (
-                self._obs_store is not None
-                and message.get("type") != "journal"
-            ):
-                # archive lifecycle events in seq order (journal
-                # segments go to the per-trace files instead -- they
-                # can be megabytes); archive failure never breaks the
-                # event stream
-                try:
-                    self._obs_store.append_event(event)
-                except OSError:
-                    self.telemetry.counter("serve.obs.errors").inc()
+            # journal segments reach live subscribers and the per-trace
+            # files only: they can be megabytes, so neither the backlog
+            # nor the archive keeps them
+            if message.get("type") != "journal":
+                self._events.append(event)
+                if len(self._events) > _EVENT_BACKLOG:
+                    del self._events[: len(self._events) - _EVENT_BACKLOG]
+                # archive lifecycle events in seq order; archive failure
+                # never breaks the event stream
+                if self._obs_store is not None:
+                    try:
+                        self._obs_store.append_event(event)
+                    except OSError:
+                        self.telemetry.counter("serve.obs.errors").inc()
         dropped = 0
         for sink in subscribers:
             if not sink.offer(event):
@@ -686,7 +692,8 @@ class ServeDaemon:
             except OSError:
                 self.telemetry.counter("serve.obs.errors").inc()
         start_cycles = clone.cycles
-        last_beat = [time.monotonic()]
+        started = time.monotonic()
+        last_beat = [started]
 
         def ship_segment() -> None:
             records_seg, dropped = journal.drain_segment()
@@ -738,6 +745,8 @@ class ServeDaemon:
             if remaining is not None and consumed > remaining:
                 raise JobAborted("tenant-budget", consumed)
             now = time.monotonic()
+            if now - started > job.timeout:
+                raise JobAborted("timeout", consumed)
             if now - last_beat[0] < self.heartbeat_interval:
                 return
             last_beat[0] = now
@@ -777,11 +786,7 @@ class ServeDaemon:
             result = self._executor(qjob)
         except JobAborted as abort:
             state = "cancelled" if abort.reason == "cancelled" else "failed"
-            error = (
-                "cancelled while running"
-                if abort.reason == "cancelled"
-                else "tenant virtual-cycle budget exhausted mid-job"
-            )
+            error = _ABORT_ERRORS[abort.reason]
             self.queue.finish(
                 qjob, state, error=error,
                 charged_cycles=abort.consumed_cycles,

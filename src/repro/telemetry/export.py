@@ -4,7 +4,7 @@ Three render targets:
 
 * :func:`snapshot` / :func:`to_json` -- a machine-readable dump of every
   counter, histogram and trace event (the ``repro.cli trace -o`` file
-  format, also what ``BENCH_telemetry.json`` records);
+  format);
 * :func:`format_prometheus` -- Prometheus text exposition over a
   snapshot dict (shared by the serve daemon's scrape surface and
   ``repro report --format prom``);

@@ -22,7 +22,8 @@ fact.  Spans make the chain explicit:
 Spans charge **zero guest cycles**: they only read the vCPU's virtual
 clock, never advance it, so every virtual-cycle benchmark score is
 bit-identical with the recorder on or off
-(``benchmarks/record_observability_overhead.py`` enforces this).  Hot
+(the ``observability`` scenario of ``benchmarks/gates.py`` enforces
+this).  Hot
 paths guard every call behind the single ``telemetry.recording`` flag.
 """
 

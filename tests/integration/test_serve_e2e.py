@@ -106,3 +106,35 @@ def test_cancel_queued_job_behind_a_busy_worker(library):
         assert final.state == "cancelled"
     finally:
         daemon.shutdown(timeout=30.0)
+
+
+def test_job_timeout_fails_the_job_and_the_daemon_keeps_serving(library):
+    daemon = ServeDaemon(
+        library, min_workers=1, max_workers=1, warm_target=0
+    )
+    daemon.start()
+    try:
+        late = daemon.submit({"app": "top", "scale": 2, "timeout": 0.001})
+        done = daemon.queue.wait_terminal(late.id, timeout=120.0)
+        assert done.state == "failed"
+        assert done.error == "TimeoutError: job exceeded wall-clock timeout"
+        after = daemon.submit({"app": "top", "scale": 2})
+        done = daemon.queue.wait_terminal(after.id, timeout=120.0)
+        assert done.state == "done", done.error
+    finally:
+        daemon.shutdown(timeout=30.0)
+
+
+def test_backlog_keeps_no_journal_segments_live_watchers_get_them(daemon):
+    sink, _ = daemon.subscribe()
+    qjob = daemon.submit({"app": "top", "scale": 2})
+    received = []
+    while not any(
+        e["type"] == "done" and e.get("id") == qjob.id for e in received
+    ):
+        received.append(sink.get(timeout=120.0))
+    daemon.unsubscribe(sink)
+    assert any(e["type"] == "journal" for e in received)
+    kinds = {e["type"] for e in daemon._events}
+    assert {"queued", "start", "done"} <= kinds
+    assert "journal" not in kinds

@@ -234,6 +234,30 @@ def test_closed_clone_is_freed_without_the_collector(
         gc.enable()
 
 
+def test_offline_profile_frees_both_machines(monkeypatch):
+    import repro.fleet.jobs as jobs_mod
+
+    refs = []
+    boot = jobs_mod.boot_machine
+
+    def tracking_boot(*args, **kwargs):
+        machine = boot(*args, **kwargs)
+        refs.extend(_machine_refs(machine))
+        return machine
+
+    monkeypatch.setattr(jobs_mod, "boot_machine", tracking_boot)
+    gc.collect()
+    gc.disable()
+    try:
+        record = profile_app_offline("gzip", scale=1)
+        assert record.baseline
+        # the profiling machine and the clean-run machine, 5 parts each
+        assert len(refs) == 10
+        assert _alive(refs) == []
+    finally:
+        gc.enable()
+
+
 def test_daemon_job_clone_is_freed_without_the_collector(
     tmp_path, monkeypatch
 ):

@@ -4,7 +4,7 @@ Everything here runs against a **fake executor** so the daemon's
 control plane (queue, events, workers, socket) is exercised without
 booting guests; the real execution path (and its bit-identity with the
 batch fleet) is covered by ``tests/integration/test_serve_e2e.py`` and
-``benchmarks/record_serve_throughput.py``.
+the ``serve`` scenario of ``benchmarks/gates.py``.
 """
 
 import threading
