@@ -822,7 +822,12 @@ def _render_stats_table(stats: dict) -> str:
         ),
         f"workers    alive {workers.get('alive', 0)}  "
         f"desired {workers.get('desired', 0)}  "
-        f"bounds {workers.get('min', 0)}..{workers.get('max', 0)}",
+        f"bounds {workers.get('min', 0)}..{workers.get('max', 0)}"
+        + (
+            f"  pids {' '.join(map(str, workers['pids']))}"
+            if workers.get("pids")
+            else ""
+        ),
     ]
     pool = stats.get("pool", {})
     for digest in sorted(pool, key=lambda d: pool[d].get("label", d)):
@@ -1274,11 +1279,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument(
         "--min-workers", type=int, default=1,
-        help="worker pool floor (default 1)",
+        help="worker process floor (default 1)",
     )
     p.add_argument(
         "--max-workers", type=int, default=4,
-        help="worker pool ceiling (default 4)",
+        help="worker process ceiling (default 4)",
     )
     p.add_argument(
         "--queue-depth", type=int, default=64,
@@ -1286,7 +1291,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument(
         "--warm", type=int, default=2,
-        help="pre-forked clones kept warm per variant (default 2)",
+        help="pre-forked clones kept warm per variant in each worker "
+        "process (default 2)",
     )
     p.add_argument(
         "--tenant-in-flight", type=int,

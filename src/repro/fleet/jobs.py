@@ -13,11 +13,15 @@ Because clones are bit-identical to freshly booted machines and seeds
 are derived deterministically, a job's virtual-cycle score is the same
 whether it ran in a fleet worker or alone on a dedicated machine --
 the ``fleet`` scenario of ``benchmarks/gates.py`` enforces exactly that.
+
+:func:`run_job_on_clone` is the job side both executors share: the
+batch fleet's pool workers and the serve daemon's worker processes.
 """
 
 from __future__ import annotations
 
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional
 
@@ -31,6 +35,26 @@ from repro.fleet.spec import DEFAULT_SEED, FleetJob
 from repro.guest.config import KVM_PVCLOCK, QEMU_TSC, GuestConfig, resolve_guest
 from repro.guest.machine import Machine, boot_machine
 from repro.telemetry.export import snapshot as telemetry_snapshot
+
+#: Capacity of a job's in-memory journal between segment drains.
+_JOURNAL_CAPACITY = 4096
+
+
+class JobAborted(Exception):
+    """Raised from a progress check to stop a running job.
+
+    ``reason`` is ``"cancelled"``, ``"tenant-budget"`` or ``"timeout"``
+    (the job's wall-clock ``timeout``, counted from when it started), or
+    ``"crashed"`` when the process running it died; ``consumed_cycles``
+    is charged against the tenant either way.  ``detail`` overrides the
+    reason's standard error text.
+    """
+
+    def __init__(self, reason: str, consumed_cycles: int, detail: str = "") -> None:
+        super().__init__(reason)
+        self.reason = reason
+        self.consumed_cycles = consumed_cycles
+        self.detail = detail
 
 
 @dataclass
@@ -179,6 +203,119 @@ def run_job_on_fresh_machine(
         return execute_job(machine, job, record, base_seed=base_seed)
     finally:
         machine.close()
+
+
+def _observe(machine: Machine) -> Dict[str, Any]:
+    """Cheap read-only stats for a heartbeat message."""
+    tel = machine.telemetry
+    recoveries = tel.counters.get("recovery.recoveries")
+    verdicts = tel.labelled.get("recovery.verdicts")
+    return {
+        "cycles": machine.cycles,
+        "recoveries": recoveries.value if recoveries is not None else 0,
+        "verdicts": (
+            {str(label): n for label, n in verdicts.values.items()}
+            if verdicts is not None
+            else {}
+        ),
+    }
+
+
+def run_job_on_clone(
+    acquire: Callable[[], Machine],
+    job: FleetJob,
+    record: ProfileRecord,
+    base_seed: int = DEFAULT_SEED,
+    send: Optional[Callable[[Dict[str, Any]], None]] = None,
+    heartbeat_interval: float = 0.5,
+    check: Optional[Callable[[int], None]] = None,
+    journal_meta: Optional[Dict[str, Any]] = None,
+    execute: Callable[..., JobResult] = execute_job,
+) -> JobResult:
+    """One job on a clone from ``acquire()``: the executors' job side.
+
+    With ``send``, the job streams ``start`` / ``heartbeat`` /
+    ``journal`` / ``done`` messages while it runs (heartbeats at most
+    every ``heartbeat_interval`` wall-clock seconds, each followed by
+    the journal segment recorded since the last); the guest's virtual
+    time is untouched.  ``check(consumed_cycles)`` runs at every progress
+    step and may raise :class:`JobAborted`, which propagates after the
+    final journal segment.  Any other exception -- a crashed guest, a
+    broken driver -- becomes a failure result, so one bad job never
+    takes its executor down.  The clone is closed on every path.
+    ``execute`` is the caller's own reference to :func:`execute_job`, so
+    a wrapper installed on the caller's module applies.
+    """
+    name = job.name or job.identity()
+    clone = None
+    journal = None
+
+    def ship_segment() -> None:
+        if journal is None:
+            return
+        records, dropped = journal.drain_segment()
+        if records or dropped:
+            send({"type": "journal", "job": name, "records": records, "dropped": dropped})
+
+    try:
+        clone = acquire()
+        progress = None
+        if send is not None:
+            send({"type": "start", "job": name, "app": job.app})
+            journal = clone.start_recording(
+                capacity=_JOURNAL_CAPACITY, meta=journal_meta
+            )
+        if send is not None or check is not None:
+            start_cycles = clone.cycles
+            last_beat = [time.monotonic()]
+
+            def progress(machine, fc) -> None:
+                if check is not None:
+                    check(machine.cycles - start_cycles)
+                if send is None:
+                    return
+                now = time.monotonic()
+                if now - last_beat[0] < heartbeat_interval:
+                    return
+                last_beat[0] = now
+                send({"type": "heartbeat", "job": name, **_observe(machine)})
+                ship_segment()
+
+        kwargs = {} if progress is None else {"progress": progress}
+        result = execute(clone, job, record, base_seed=base_seed, **kwargs)
+        if send is not None:
+            ship_segment()
+            send(
+                {
+                    "type": "done",
+                    "job": name,
+                    "ok": result.ok,
+                    "error": result.error,
+                    **_observe(clone),
+                }
+            )
+        return result
+    except JobAborted:
+        ship_segment()
+        raise
+    except Exception as exc:  # noqa: BLE001 - crash isolation boundary
+        result = JobResult(
+            name=name,
+            app=job.app,
+            attack=job.attack,
+            ok=False,
+            seed=job.effective_seed(base_seed),
+            error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=4)}",
+        )
+        if send is not None:
+            ship_segment()
+            send({"type": "done", "job": name, "ok": False, "error": result.error})
+        return result
+    finally:
+        if clone is not None:
+            if journal is not None:
+                clone.stop_recording()
+            clone.close()
 
 
 def profile_app_offline(

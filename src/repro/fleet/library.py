@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -153,6 +154,8 @@ class ProfileLibrary:
         self.root = Path(root)
         self.objects = self.root / "objects"
         self.index_path = self.root / "index.json"
+        #: serializes index updates from this process's threads
+        self._index_lock = threading.Lock()
 
     # -- index ---------------------------------------------------------------
 
@@ -173,7 +176,11 @@ class ProfileLibrary:
 
     def _write_index(self, index: Dict[str, object]) -> None:
         self.root.mkdir(parents=True, exist_ok=True)
-        self.index_path.write_text(json.dumps(index, indent=2, sort_keys=True))
+        # replace, not rewrite: a reader on another thread (the daemon
+        # profiles one app while it looks up others) never sees half of it
+        staging = self.index_path.with_suffix(".json.tmp")
+        staging.write_text(json.dumps(index, indent=2, sort_keys=True))
+        staging.replace(self.index_path)
 
     def apps(self) -> List[str]:
         """Applications with a current profile, sorted."""
@@ -232,18 +239,19 @@ class ProfileLibrary:
         path = self.objects / f"{digest}.json"
         if not path.exists():
             path.write_text(blob.decode())
-        index = self._read_index()
-        entry = index["profiles"].setdefault(
-            config.app, {"digest": digest, "history": []}
-        )
-        if entry["digest"] != digest:
-            history = entry.setdefault("history", [])
-            if entry["digest"] not in history:
-                history.append(entry["digest"])
-            entry["digest"] = digest
-        if guest_digest:
-            entry.setdefault("variants", {})[guest_digest] = digest
-        self._write_index(index)
+        with self._index_lock:
+            index = self._read_index()
+            entry = index["profiles"].setdefault(
+                config.app, {"digest": digest, "history": []}
+            )
+            if entry["digest"] != digest:
+                history = entry.setdefault("history", [])
+                if entry["digest"] not in history:
+                    history.append(entry["digest"])
+                entry["digest"] = digest
+            if guest_digest:
+                entry.setdefault("variants", {})[guest_digest] = digest
+            self._write_index(index)
         return record
 
     def load_digest(self, digest: str) -> ProfileRecord:

@@ -29,12 +29,11 @@ import json
 import multiprocessing
 import queue as queue_mod
 import time
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.fleet.jobs import JobResult, execute_job
+from repro.fleet.jobs import JobResult, execute_job, run_job_on_clone
 from repro.fleet.library import ProfileLibrary, ProfileRecord
 from repro.fleet.snapshot import MachineSnapshot
 from repro.fleet.spec import FleetJob, FleetSpec
@@ -46,9 +45,6 @@ from repro.telemetry.merge import merge_snapshots
 #: Worker state inherited through ``fork`` (or shared with threads).
 #: Populated in the parent *before* the pool exists; never pickled.
 _WORKER: Dict[str, Any] = {}
-
-#: Capacity of each worker's in-memory journal between segment drains.
-_WORKER_JOURNAL_CAPACITY = 4096
 
 
 def _configure_workers(
@@ -67,127 +63,28 @@ def _configure_workers(
     _WORKER["heartbeat"] = heartbeat_interval
 
 
-def _observe(machine) -> Dict[str, Any]:
-    """Cheap read-only stats for a heartbeat message."""
-    tel = machine.telemetry
-    recoveries = tel.counters.get("recovery.recoveries")
-    verdicts = tel.labelled.get("recovery.verdicts")
-    return {
-        "cycles": machine.cycles,
-        "recoveries": recoveries.value if recoveries is not None else 0,
-        "verdicts": (
-            {str(label): n for label, n in verdicts.values.items()}
-            if verdicts is not None
-            else {}
-        ),
-    }
-
-
 def _run_job(job_data: Dict[str, Any]) -> Dict[str, Any]:
     """Pool entry point: fork a clone, run the job, ship the result.
 
     Takes and returns plain dicts so only small JSON-able payloads
-    cross the process boundary.  Any exception -- a crashed guest, a
-    broken driver -- is converted into a failure result here, inside
-    the worker, so one bad job never poisons the pool.
-
-    With a bus configured the worker also streams ``start`` /
-    ``heartbeat`` / ``journal`` / ``done`` messages while the job runs
-    (wall-clock rate-limited; the guest's virtual time is untouched).
+    cross the process boundary.  :func:`run_job_on_clone` converts any
+    exception into a failure result inside the worker, so one bad job
+    never poisons the pool; with a bus configured it also streams the
+    job's live messages to the parent.
     """
     job = FleetJob(**job_data)
-    name = job.name or job.identity()
+    guest = job.guest_config()
+    digest = guest.digest()
     bus = _WORKER.get("bus")
-    journal = None
-    progress = None
-    clone = None
-    try:
-        guest = job.guest_config()
-        digest = guest.digest()
-        clone = _WORKER["snapshots"][digest].fork(expect_digest=digest)
-        record = _WORKER["records"][(job.app, guest.build_digest())]
-        if bus is not None:
-            bus.put({"type": "start", "job": name, "app": job.app})
-            journal = clone.start_recording(capacity=_WORKER_JOURNAL_CAPACITY)
-            interval = _WORKER.get("heartbeat", 0.5)
-            last_beat = [time.monotonic()]
-
-            def progress(machine, fc) -> None:
-                now = time.monotonic()
-                if now - last_beat[0] < interval:
-                    return
-                last_beat[0] = now
-                bus.put({"type": "heartbeat", "job": name, **_observe(machine)})
-                records_seg, dropped = journal.drain_segment()
-                if records_seg or dropped:
-                    bus.put(
-                        {
-                            "type": "journal",
-                            "job": name,
-                            "records": records_seg,
-                            "dropped": dropped,
-                        }
-                    )
-
-        if progress is not None:
-            result = execute_job(
-                clone, job, record,
-                base_seed=_WORKER["seed"], progress=progress,
-            )
-        else:
-            result = execute_job(clone, job, record, base_seed=_WORKER["seed"])
-        if bus is not None:
-            records_seg, dropped = journal.drain_segment()
-            if records_seg or dropped:
-                bus.put(
-                    {
-                        "type": "journal",
-                        "job": name,
-                        "records": records_seg,
-                        "dropped": dropped,
-                    }
-                )
-            bus.put(
-                {
-                    "type": "done",
-                    "job": name,
-                    "ok": result.ok,
-                    "error": result.error,
-                    **_observe(clone),
-                }
-            )
-    except Exception as exc:  # noqa: BLE001 - crash isolation boundary
-        result = JobResult(
-            name=name,
-            app=job.app,
-            attack=job.attack,
-            ok=False,
-            seed=job.effective_seed(_WORKER.get("seed", 0)),
-            error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=4)}",
-        )
-        if bus is not None:
-            if journal is not None:
-                records_seg, dropped = journal.drain_segment()
-                if records_seg or dropped:
-                    bus.put(
-                        {
-                            "type": "journal",
-                            "job": name,
-                            "records": records_seg,
-                            "dropped": dropped,
-                        }
-                    )
-            bus.put(
-                {
-                    "type": "done",
-                    "job": name,
-                    "ok": False,
-                    "error": result.error,
-                }
-            )
-    finally:
-        if clone is not None:
-            clone.close()
+    result = run_job_on_clone(
+        lambda: _WORKER["snapshots"][digest].fork(expect_digest=digest),
+        job,
+        _WORKER["records"][(job.app, guest.build_digest())],
+        base_seed=_WORKER["seed"],
+        send=bus.put if bus is not None else None,
+        heartbeat_interval=_WORKER.get("heartbeat", 0.5),
+        execute=execute_job,
+    )
     data = result.to_dict()
     data["telemetry"] = result.telemetry
     return data

@@ -119,8 +119,8 @@ class MachineSnapshot:
     def __init__(self, template: Machine, base_frames: Dict[int, bytes]) -> None:
         self._template = template
         self._base_frames = base_frames
-        #: forks made so far; pool workers, its refill thread and the
-        #: fleet's thread pool fork one snapshot concurrently
+        #: forks made so far; the fleet's thread pool forks one snapshot
+        #: from several threads at once
         self.fork_count = 0
         self._count_lock = threading.Lock()
         #: the guest build this snapshot was captured from

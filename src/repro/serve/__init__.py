@@ -12,10 +12,12 @@ subsystem.
 * :mod:`repro.serve.queue` -- priority job queue, admission control,
   per-tenant in-flight caps and virtual-cycle budgets;
 * :mod:`repro.serve.pool` -- warm ``MachineSnapshot`` pools keyed by
-  ``GuestConfig.digest()`` with background-refilled pre-forked clones;
+  ``GuestConfig.digest()`` with pre-forked clones;
 * :mod:`repro.serve.daemon` -- the daemon: autoscaling worker pool,
   JSON-lines control socket, streamed heartbeats/journal segments,
   lifetime telemetry merge;
+* :mod:`repro.serve.worker` -- the worker processes that run the jobs
+  and the spawner that forks them;
 * :mod:`repro.serve.client` -- the ``repro ctl`` client;
 * :mod:`repro.serve.protocol` -- the wire format.
 """

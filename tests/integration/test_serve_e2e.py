@@ -17,7 +17,7 @@ from repro.serve import ServeDaemon, TenantPolicy
 @pytest.fixture(scope="module")
 def library(tmp_path_factory):
     lib = ProfileLibrary(tmp_path_factory.mktemp("serve-lib"))
-    prepare_offline_phase(lib, ["top"], scale=2)
+    prepare_offline_phase(lib, ["top", "bash"], scale=2)
     return lib
 
 
@@ -29,10 +29,15 @@ def daemon(library):
     d.shutdown(timeout=30.0)
 
 
-def test_daemon_scores_bit_identical_to_batch_fleet(library, daemon):
+def test_daemon_scores_bit_identical_to_batch_fleet(library):
+    jobs = [
+        {"app": "top"},
+        {"app": "top", "attack": "Injectso"},
+        {"app": "top", "guest": "qemu-tsc"},
+        {"app": "bash", "attack": "KBeast"},
+    ]
     spec = FleetSpec.from_dict(
-        {"name": "ref", "workers": 2, "scale": 2,
-         "jobs": [{"app": "top"}, {"app": "top", "attack": "Injectso"}]}
+        {"name": "ref", "workers": 2, "scale": 2, "jobs": jobs}
     )
     report = run_fleet(spec, library, use_processes=False)
     assert report.failed == 0
@@ -40,31 +45,38 @@ def test_daemon_scores_bit_identical_to_batch_fleet(library, daemon):
         r["name"]: (r["cycles"], r["syscalls"]) for r in report.results
     }
 
-    clean = daemon.submit({"app": "top", "scale": 2})
-    infected = daemon.submit(
-        {"app": "top", "scale": 2, "attack": "Injectso"}
+    # two worker processes, with both guest variants pre-booted
+    daemon = ServeDaemon(
+        library, min_workers=2, max_workers=2, warm_target=1
     )
-    for qjob in (clean, infected):
-        done = daemon.queue.wait_terminal(qjob.id, timeout=120.0)
-        assert done is not None and done.state == "done", done.error
+    daemon.start(guests=["default", "qemu-tsc"])
+    try:
+        assert len(daemon.stats()["workers"]["pids"]) == 2
+        queued = [daemon.submit({**job, "scale": 2}) for job in jobs]
+        for qjob in queued:
+            done = daemon.queue.wait_terminal(qjob.id, timeout=120.0)
+            assert done is not None and done.state == "done", done.error
 
-    # same auto-assigned names -> same derived seeds -> same scores
-    assert clean.job.name == "top#0"
-    assert infected.job.name == "top+Injectso#0"
-    served = {
-        q.job.name: (q.result["cycles"], q.result["syscalls"])
-        for q in (clean, infected)
-    }
-    assert served == batch
+        # same auto-assigned names -> same derived seeds -> same scores
+        assert [q.job.name for q in queued] == [j.name for j in spec.jobs]
+        served = {
+            q.job.name: (q.result["cycles"], q.result["syscalls"])
+            for q in queued
+        }
+        assert served == batch
 
-    # the attack is detected through the warm-forked clone too
-    assert infected.result["detected"] is True
-    assert infected.result["evidence"]
+        # both attacks are detected through warm-forked clones too
+        for qjob in (queued[1], queued[3]):
+            assert qjob.result["detected"] is True
+            assert qjob.result["evidence"]
 
-    # jobs came off the warm pool, and lifetime telemetry covers both
-    pool = daemon.pool.stats()
-    assert sum(v["hits"] + v["misses"] for v in pool.values()) >= 2
-    assert daemon.stats()["jobs_telemetry"]["sources"] == 2
+        # jobs came off the workers' warm pools, and lifetime telemetry
+        # covers all four
+        pool = daemon.stats()["pool"]
+        assert sum(v["hits"] + v["misses"] for v in pool.values()) == 4
+        assert daemon.stats()["jobs_telemetry"]["sources"] == 4
+    finally:
+        daemon.shutdown(timeout=30.0)
 
 
 def test_real_budget_exhaustion_aborts_mid_job(library):
