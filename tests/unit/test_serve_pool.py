@@ -1,4 +1,5 @@
-"""Warm pool accounting when workers miss concurrently."""
+"""Warm pool accounting: concurrent misses, and counts restarted in a
+forked worker process."""
 
 import sys
 import threading
@@ -6,7 +7,6 @@ import threading
 import repro.fleet.snapshot as snapshot_mod
 from repro.guest.machine import boot_machine
 from repro.serve.pool import WarmPool
-from repro.telemetry import Telemetry
 
 _THREADS = 4
 _ACQUIRES = 500
@@ -19,9 +19,8 @@ def test_counts_survive_concurrent_misses(monkeypatch):
     monkeypatch.setattr(
         snapshot_mod, "_clone_with_cow_physmem", lambda *args: object()
     )
-    telemetry = Telemetry()
     # no warm buffer: every acquisition misses and forks on its thread
-    pool = WarmPool(warm_target=0, telemetry=telemetry)
+    pool = WarmPool(warm_target=0)
     label = pool.add_snapshot(snapshot)[:12]
 
     def worker():
@@ -44,5 +43,21 @@ def test_counts_survive_concurrent_misses(monkeypatch):
     stats = pool.stats()[label]
     assert stats["hits"] + stats["misses"] == acquisitions
     assert stats["forked"] == acquisitions
-    misses = telemetry.labelled_counter("serve.pool.misses").values
-    assert misses.get(label, 0) == acquisitions
+
+
+def test_restarted_counts_leave_out_what_came_before(monkeypatch):
+    snapshot = boot_machine().snapshot()
+    monkeypatch.setattr(
+        snapshot_mod, "_clone_with_cow_physmem", lambda *args: object()
+    )
+    pool = WarmPool(warm_target=2)
+    label = pool.add_snapshot(snapshot)[:12]
+    pool.refill()
+    counts = ("warm", "forked", "hits", "misses", "refills")
+    assert [pool.stats()[label][key] for key in counts] == [2, 2, 0, 0, 2]
+    # as a worker process does with the start-up fill it inherited
+    pool.restart_counts()
+    assert [pool.stats()[label][key] for key in counts] == [2, 0, 0, 0, 0]
+    pool.acquire(snapshot.config)
+    pool.refill()
+    assert [pool.stats()[label][key] for key in counts] == [2, 1, 1, 0, 1]
