@@ -639,7 +639,6 @@ def serve_batch(session: "Session", passes) -> List[Verdict]:
     spec = _spec(SERVE_MIX, session.scale, workers=2)
     report = run_fleet(
         spec, ProfileLibrary(session.library(SERVE.args["jobs"])),
-        use_processes=False,
     )
     batch = {r["name"]: [r["cycles"], r["syscalls"]] for r in report.results}
     runs = _labelled(passes, (DAEMON,))

@@ -14,9 +14,9 @@ scale-out execution substrate:
   versioned), so one profiling run feeds enforcement in every later run;
 * :mod:`repro.fleet.spec` -- the declarative fleet specification:
   (app, workload, malware-injection) jobs with budgets and seeds;
-* :mod:`repro.fleet.runner` -- the work-queue scheduler executing jobs
-  across a ``multiprocessing`` pool (threaded fallback), with per-guest
-  budgets, timeouts and crash isolation;
+* :mod:`repro.fleet.runner` -- runs a spec as one in-process
+  :mod:`repro.serve` daemon session: jobs run in forked worker
+  processes, with per-guest budgets, timeouts and crash isolation;
 * :mod:`repro.telemetry.merge` -- registry snapshots merged into one
   fleet-level report (the runner re-exports the result).
 """
@@ -27,14 +27,13 @@ from repro.fleet.library import (
     ProfileRecord,
 )
 from repro.fleet.jobs import JobResult, execute_job, prepare_offline_phase
-from repro.fleet.runner import FleetReport, FleetRunner, run_fleet
+from repro.fleet.runner import FleetReport, run_fleet
 from repro.fleet.snapshot import MachineSnapshot, SnapshotError
 from repro.fleet.spec import FleetJob, FleetSpec, FleetSpecError
 
 __all__ = [
     "FleetJob",
     "FleetReport",
-    "FleetRunner",
     "FleetSpec",
     "FleetSpecError",
     "JobResult",

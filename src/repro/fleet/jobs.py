@@ -14,8 +14,8 @@ are derived deterministically, a job's virtual-cycle score is the same
 whether it ran in a fleet worker or alone on a dedicated machine --
 the ``fleet`` scenario of ``benchmarks/gates.py`` enforces exactly that.
 
-:func:`run_job_on_clone` is the job side both executors share: the
-batch fleet's pool workers and the serve daemon's worker processes.
+:func:`run_job_on_clone` is the job side of the serve daemon's worker
+processes, which run every fleet and every daemon job.
 """
 
 from __future__ import annotations
@@ -117,10 +117,11 @@ def execute_job(
     completion within the job's cycle budget, and reports scores,
     attack evidence and the guest's telemetry snapshot.
 
-    ``progress`` (if given) is invoked between run steps -- the fleet
-    runner's heartbeat hook.  It observes the guest (virtual clock,
-    telemetry) but must not mutate it; the run loop's cadence and the
-    guest's virtual time are identical with or without it.
+    ``progress`` (if given) is invoked between run steps -- a serve
+    worker's heartbeat and progress-check hook.  It observes the guest
+    (virtual clock, telemetry) but must not mutate it; the run loop's
+    cadence and the guest's virtual time are identical with or without
+    it.
     """
     assert machine.runtime is not None
     if record.guest_digest and record.guest_digest != machine.build_digest:
@@ -225,24 +226,24 @@ def run_job_on_clone(
     acquire: Callable[[], Machine],
     job: FleetJob,
     record: ProfileRecord,
+    send: Callable[[Dict[str, Any]], None],
+    check: Callable[[int], None],
     base_seed: int = DEFAULT_SEED,
-    send: Optional[Callable[[Dict[str, Any]], None]] = None,
     heartbeat_interval: float = 0.5,
-    check: Optional[Callable[[int], None]] = None,
     journal_meta: Optional[Dict[str, Any]] = None,
     execute: Callable[..., JobResult] = execute_job,
 ) -> JobResult:
-    """One job on a clone from ``acquire()``: the executors' job side.
+    """One job on a clone from ``acquire()``: a serve worker's job side.
 
-    With ``send``, the job streams ``start`` / ``heartbeat`` /
-    ``journal`` / ``done`` messages while it runs (heartbeats at most
-    every ``heartbeat_interval`` wall-clock seconds, each followed by
-    the journal segment recorded since the last); the guest's virtual
-    time is untouched.  ``check(consumed_cycles)`` runs at every progress
-    step and may raise :class:`JobAborted`, which propagates after the
-    final journal segment.  Any other exception -- a crashed guest, a
-    broken driver -- becomes a failure result, so one bad job never
-    takes its executor down.  The clone is closed on every path.
+    The job streams ``heartbeat`` and ``journal`` messages to ``send``
+    while it runs (heartbeats at most every ``heartbeat_interval``
+    wall-clock seconds, each followed by the journal segment recorded
+    since the last, and a last segment at the end); the guest's virtual
+    time is untouched.  ``check(consumed_cycles)`` runs at every
+    progress step and may raise :class:`JobAborted`, which propagates
+    after the final journal segment.  Any other exception -- a crashed
+    guest, a broken driver -- becomes a failure result, so one bad job
+    never takes its executor down.  The clone is closed on every path.
     ``execute`` is the caller's own reference to :func:`execute_job`, so
     a wrapper installed on the caller's module applies.
     """
@@ -259,41 +260,24 @@ def run_job_on_clone(
 
     try:
         clone = acquire()
-        progress = None
-        if send is not None:
-            send({"type": "start", "job": name, "app": job.app})
-            journal = clone.start_recording(
-                capacity=_JOURNAL_CAPACITY, meta=journal_meta
-            )
-        if send is not None or check is not None:
-            start_cycles = clone.cycles
-            last_beat = [time.monotonic()]
+        journal = clone.start_recording(
+            capacity=_JOURNAL_CAPACITY, meta=journal_meta
+        )
+        start_cycles = clone.cycles
+        last_beat = time.monotonic()
 
-            def progress(machine, fc) -> None:
-                if check is not None:
-                    check(machine.cycles - start_cycles)
-                if send is None:
-                    return
-                now = time.monotonic()
-                if now - last_beat[0] < heartbeat_interval:
-                    return
-                last_beat[0] = now
-                send({"type": "heartbeat", "job": name, **_observe(machine)})
-                ship_segment()
-
-        kwargs = {} if progress is None else {"progress": progress}
-        result = execute(clone, job, record, base_seed=base_seed, **kwargs)
-        if send is not None:
+        def progress(machine, fc) -> None:
+            nonlocal last_beat
+            check(machine.cycles - start_cycles)
+            now = time.monotonic()
+            if now - last_beat < heartbeat_interval:
+                return
+            last_beat = now
+            send({"type": "heartbeat", "job": name, **_observe(machine)})
             ship_segment()
-            send(
-                {
-                    "type": "done",
-                    "job": name,
-                    "ok": result.ok,
-                    "error": result.error,
-                    **_observe(clone),
-                }
-            )
+
+        result = execute(clone, job, record, base_seed=base_seed, progress=progress)
+        ship_segment()
         return result
     except JobAborted:
         ship_segment()
@@ -307,9 +291,7 @@ def run_job_on_clone(
             seed=job.effective_seed(base_seed),
             error=f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=4)}",
         )
-        if send is not None:
-            ship_segment()
-            send({"type": "done", "job": name, "ok": False, "error": result.error})
+        ship_segment()
         return result
     finally:
         if clone is not None:

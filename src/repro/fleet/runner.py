@@ -1,93 +1,46 @@
-"""Fleet runner: a work-queue scheduler over snapshot-forked guests.
+"""Fleet runner: a spec run as one in-process serve-daemon session.
 
-The parent process boots **one** machine, captures a
-:class:`~repro.fleet.snapshot.MachineSnapshot`, and loads every needed
-profile from the library.  Only then does it create the worker pool --
-on POSIX the pool uses the ``fork`` start method, so workers inherit
-the snapshot, the warm assembler caches and the loaded profile records
-through the copied address space with **zero pickling and zero
-re-boots**.  Each job then costs a worker one in-memory CoW fork plus
-the workload itself.
+:func:`run_fleet` is the batch face of :mod:`repro.serve`: it starts a
+:class:`~repro.serve.daemon.ServeDaemon` with ``spec.workers`` worker
+processes, no control socket and no metrics, and with every guest
+variant of the spec booted and snapshotted before the workers are
+forked, so each worker inherits every snapshot and the loaded code
+caches with zero pickling and zero re-boots.  It then submits each job
+under its spec name, relays the jobs' events to the caller and to the
+per-job journal files, drains the daemon and reports.  A job costs its
+worker one in-memory CoW fork plus the workload itself.
 
-Isolation properties:
+Isolation properties are the daemon's:
 
-* a job that raises inside a worker returns a failure
-  :class:`JobResult` -- it cannot take the fleet down;
-* each job has a wall-clock timeout; a stuck guest marks its job
-  failed and the fleet carries on;
+* a job that raises returns a failure :class:`JobResult` -- it cannot
+  take the fleet down;
+* each job has a wall-clock timeout; a stuck guest fails its job and
+  the fleet carries on;
+* a worker process that dies fails only the job it was running, and
+  its slot forks a replacement;
 * guests never share mutable state -- every clone has private frames
   (CoW) and a private telemetry registry, merged only after the fact.
 
-Platforms without ``fork`` (or ``workers=1``) degrade gracefully to an
-in-process threaded pool / serial loop with identical semantics --
-results are bit-identical in every mode by construction.
+A job runs through the same :func:`repro.fleet.jobs.run_job_on_clone`
+path with the same derived seed as a ``repro serve`` submission, so its
+score is the same whichever way it was run.
 """
 
 from __future__ import annotations
 
-import json
-import multiprocessing
-import queue as queue_mod
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional
 
-from repro.fleet.jobs import JobResult, execute_job, run_job_on_clone
-from repro.fleet.library import ProfileLibrary, ProfileRecord
-from repro.fleet.snapshot import MachineSnapshot
-from repro.fleet.spec import FleetJob, FleetSpec
-from repro.guest.config import GuestConfig
-from repro.guest.machine import boot_machine
-from repro.telemetry.journal import JOURNAL_SCHEMA
-from repro.telemetry.merge import merge_snapshots
+from repro.fleet.jobs import JobResult
+from repro.fleet.library import ProfileLibrary
+from repro.fleet.spec import FleetSpec
+from repro.obs.store import TraceJournalWriter
 
-#: Worker state inherited through ``fork`` (or shared with threads).
-#: Populated in the parent *before* the pool exists; never pickled.
-_WORKER: Dict[str, Any] = {}
-
-
-def _configure_workers(
-    snapshots: Dict[str, MachineSnapshot],
-    records: Dict[Any, ProfileRecord],
-    base_seed: int,
-    bus: Optional[Any] = None,
-    heartbeat_interval: float = 0.5,
-) -> None:
-    #: one snapshot per guest variant, keyed by full config digest
-    _WORKER["snapshots"] = snapshots
-    #: profile records keyed by (app, guest build digest)
-    _WORKER["records"] = records
-    _WORKER["seed"] = base_seed
-    _WORKER["bus"] = bus
-    _WORKER["heartbeat"] = heartbeat_interval
-
-
-def _run_job(job_data: Dict[str, Any]) -> Dict[str, Any]:
-    """Pool entry point: fork a clone, run the job, ship the result.
-
-    Takes and returns plain dicts so only small JSON-able payloads
-    cross the process boundary.  :func:`run_job_on_clone` converts any
-    exception into a failure result inside the worker, so one bad job
-    never poisons the pool; with a bus configured it also streams the
-    job's live messages to the parent.
-    """
-    job = FleetJob(**job_data)
-    guest = job.guest_config()
-    digest = guest.digest()
-    bus = _WORKER.get("bus")
-    result = run_job_on_clone(
-        lambda: _WORKER["snapshots"][digest].fork(expect_digest=digest),
-        job,
-        _WORKER["records"][(job.app, guest.build_digest())],
-        base_seed=_WORKER["seed"],
-        send=bus.put if bus is not None else None,
-        heartbeat_interval=_WORKER.get("heartbeat", 0.5),
-        execute=execute_job,
-    )
-    data = result.to_dict()
-    data["telemetry"] = result.telemetry
-    return data
+#: The daemon events a fleet relays: each job's own.
+_JOB_EVENTS = ("start", "heartbeat", "journal", "done")
 
 
 @dataclass
@@ -121,11 +74,6 @@ class FleetReport:
         return self.completed / self.wall_seconds if self.wall_seconds else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
-        results = []
-        for r in self.results:
-            row = dict(r)
-            row.pop("telemetry", None)
-            results.append(row)
         return {
             "spec": self.spec_name,
             "workers": self.workers,
@@ -139,7 +87,7 @@ class FleetReport:
             "base_frames": self.base_frames,
             "variants": self.variants,
             "journal_paths": self.journal_paths,
-            "results": results,
+            "results": self.results,
             "telemetry": self.telemetry,
         }
 
@@ -169,318 +117,111 @@ class FleetReport:
         return "\n".join(lines)
 
 
-class FleetRunner:
-    """Schedules a :class:`FleetSpec` across snapshot-forked guests."""
-
-    def __init__(
-        self,
-        spec: FleetSpec,
-        library: ProfileLibrary,
-        snapshot: Optional[MachineSnapshot] = None,
-        use_processes: Optional[bool] = None,
-        on_message: Optional[Callable[[Dict[str, Any]], None]] = None,
-        heartbeat_interval: float = 0.5,
-        journal_dir: Optional[Any] = None,
-    ) -> None:
-        self.spec = spec
-        self.library = library
-        self.snapshot = snapshot
-        if use_processes is None:
-            use_processes = (
-                spec.workers > 1
-                and "fork" in multiprocessing.get_all_start_methods()
-            )
-        self.use_processes = use_processes
-        #: parent-side sink for live worker messages (watch mode)
-        self.on_message = on_message
-        self.heartbeat_interval = heartbeat_interval
-        self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self._bus: Optional[Any] = None
-        self._job_started: Dict[str, float] = {}
-        #: journal segments collected per job (journal_dir mode)
-        self._segments: Dict[str, List[Dict[str, Any]]] = {}
-        self._segment_drops: Dict[str, int] = {}
-
-    def _guest_configs(self) -> Dict[str, GuestConfig]:
-        """Distinct guest variants in the spec, keyed by full digest."""
-        configs: Dict[str, GuestConfig] = {}
-        for job in self.spec.jobs:
-            config = job.guest_config()
-            configs.setdefault(config.digest(), config)
-        return configs
-
-    def _load_records(self) -> Dict[Any, ProfileRecord]:
-        """Checksum-validated profile load for every (app, build) pair."""
-        records: Dict[Any, ProfileRecord] = {}
-        for job in self.spec.jobs:
-            build = job.guest_config().build_digest()
-            key = (job.app, build)
-            if key not in records:
-                records[key] = self.library.get(job.app, build)
-        return records
-
-    @property
-    def streaming(self) -> bool:
-        """True when workers should stream live messages to the parent."""
-        return self.on_message is not None or self.journal_dir is not None
-
-    def run(self) -> FleetReport:
-        started = time.perf_counter()
-        records = self._load_records()
-        configs = self._guest_configs()
-        # one snapshot per guest variant: booted once, forked many times
-        snapshots: Dict[str, MachineSnapshot] = {}
-        if self.snapshot is not None:
-            snapshots[self.snapshot.guest_digest] = self.snapshot
-        for digest, config in configs.items():
-            if digest not in snapshots:
-                snapshots[digest] = boot_machine(config=config).snapshot()
-        if self.snapshot is None and len(configs) == 1:
-            self.snapshot = next(iter(snapshots.values()))
-        forked_before = {
-            digest: snap.fork_count for digest, snap in snapshots.items()
-        }
-        bus = None
-        if self.streaming:
-            # created before the pool so fork-started workers inherit it
-            if self.use_processes and self.spec.workers > 1:
-                bus = multiprocessing.get_context("fork").Queue()
-            else:
-                bus = queue_mod.Queue()
-        self._bus = bus
-        # workers inherit this through fork() / share it with threads
-        _configure_workers(
-            snapshots,
-            records,
-            self.spec.seed,
-            bus=bus,
-            heartbeat_interval=self.heartbeat_interval,
-        )
-        job_dicts = [
-            {
-                "app": job.app,
-                "scale": job.scale,
-                "attack": job.attack,
-                "seed": job.seed,
-                "max_cycles": job.max_cycles,
-                "timeout": job.timeout,
-                "guest": job.guest.to_dict() if job.guest is not None else None,
-                "name": job.name,
-            }
-            for job in self.spec.jobs
-        ]
-        if self.spec.workers == 1:
-            mode = "serial"
-            results = []
-            for d in job_dicts:
-                results.append(_run_job(d))
-                self._drain_bus()
-        elif self.use_processes:
-            mode = "processes"
-            results = self._run_pool(
-                multiprocessing.get_context("fork").Pool, job_dicts
-            )
-        else:
-            mode = "threads"
-            from multiprocessing.pool import ThreadPool
-
-            results = self._run_pool(ThreadPool, job_dicts)
-        self._drain_bus()
-        journal_paths = self._write_journals()
-        telemetry = merge_snapshots(
-            [r.get("telemetry", {}) for r in results if r.get("telemetry")],
-            sources=[r["name"] for r in results if r.get("telemetry")],
-        )
-        variant_jobs: Dict[str, int] = {}
-        for job in self.spec.jobs:
-            digest = job.guest_config().digest()
-            variant_jobs[digest] = variant_jobs.get(digest, 0) + 1
-        report = FleetReport(
-            spec_name=self.spec.name,
-            workers=self.spec.workers,
-            mode=mode,
-            results=results,
-            telemetry=telemetry,
-            wall_seconds=time.perf_counter() - started,
-            # under processes the forks happen in worker address spaces;
-            # a job that shipped telemetry necessarily ran on a clone
-            forked=(
-                sum(
-                    snap.fork_count - forked_before[digest]
-                    for digest, snap in snapshots.items()
-                )
-                if mode != "processes"
-                else sum(1 for r in results if r.get("telemetry"))
-            ),
-            base_frames=sum(snap.frame_count for snap in snapshots.values()),
-            variants={
-                digest[:12]: {
-                    "label": configs[digest].label(),
-                    "jobs": count,
-                }
-                for digest, count in sorted(variant_jobs.items())
-            },
-            journal_paths=journal_paths,
-        )
-        return report
-
-    # -- live message plumbing ---------------------------------------------------
-
-    def _dispatch(self, message: Dict[str, Any]) -> None:
-        if message.get("type") == "start":
-            self._job_started[message.get("job", "?")] = time.monotonic()
-        if self.journal_dir is not None and message.get("type") == "journal":
-            name = message.get("job", "?")
-            self._segments.setdefault(name, []).extend(
-                message.get("records", [])
-            )
-            self._segment_drops[name] = self._segment_drops.get(
-                name, 0
-            ) + message.get("dropped", 0)
-        if self.on_message is not None:
-            self.on_message(message)
-
-    def _drain_bus(self) -> None:
-        bus = self._bus
-        if bus is None:
-            return
-        while True:
-            try:
-                message = bus.get_nowait()
-            except queue_mod.Empty:
-                return
-            self._dispatch(message)
-
-    def _write_journals(self) -> Dict[str, str]:
-        """Reassemble streamed segments into per-job journal files.
-
-        The files parse with :func:`repro.telemetry.journal.load_journal`:
-        seqs come from the workers' journals and any capacity evictions
-        are accounted in the footer, so completeness checks still hold.
-        """
-        if self.journal_dir is None:
-            return {}
-        self.journal_dir.mkdir(parents=True, exist_ok=True)
-        paths: Dict[str, str] = {}
-        for name, records in sorted(self._segments.items()):
-            path = self.journal_dir / f"{name.replace('/', '_')}.jsonl"
-            dropped = self._segment_drops.get(name, 0)
-            last_seq = records[-1]["seq"] if records else 0
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(
-                    json.dumps(
-                        {
-                            "t": "header",
-                            "schema": JOURNAL_SCHEMA,
-                            "meta": {"job": name, "spec": self.spec.name},
-                        },
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-                for record in records:
-                    fh.write(
-                        json.dumps(record, separators=(",", ":"), sort_keys=True)
-                        + "\n"
-                    )
-                fh.write(
-                    json.dumps(
-                        {"t": "footer", "records": last_seq, "dropped": dropped},
-                        separators=(",", ":"),
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
-            paths[name] = str(path)
-        return paths
-
-    def _run_pool(self, pool_factory, job_dicts: List[Dict[str, Any]]):
-        results: List[Optional[Dict[str, Any]]] = [None] * len(job_dicts)
-        pool = pool_factory(self.spec.workers)
-        try:
-            pending = [
-                (i, d, pool.apply_async(_run_job, (d,)))
-                for i, d in enumerate(job_dicts)
-            ]
-            if self._bus is not None:
-                self._poll_pool(pending, results)
-            else:
-                for i, d, handle in pending:
-                    try:
-                        results[i] = handle.get(timeout=d["timeout"])
-                    except multiprocessing.TimeoutError:
-                        results[i] = self._failure(d, "TimeoutError: job exceeded wall-clock timeout")
-                    except Exception as exc:  # pool breakage / worker death
-                        results[i] = self._failure(d, f"{type(exc).__name__}: {exc}")
-        finally:
-            pool.terminate()
-            pool.join()
-        return [r for r in results if r is not None]
-
-    def _poll_pool(self, pending, results) -> None:
-        """Watch-mode pool loop: drain the bus while jobs complete.
-
-        Unlike the sequential path, messages are consumed *while* jobs
-        run (that is the point).  A job's timeout countdown starts at
-        its worker's ``start`` message (pool submission as fallback for
-        jobs that never start).
-        """
-        submitted = time.monotonic()
-        remaining = {i: (d, handle) for i, d, handle in pending}
-        while remaining:
-            self._drain_bus()
-            for i in list(remaining):
-                d, handle = remaining[i]
-                if handle.ready():
-                    try:
-                        results[i] = handle.get()
-                    except Exception as exc:  # pool breakage / worker death
-                        results[i] = self._failure(
-                            d, f"{type(exc).__name__}: {exc}"
-                        )
-                    del remaining[i]
-                    continue
-                name = d.get("name") or ""
-                base = self._job_started.get(name, submitted)
-                if time.monotonic() - base > d["timeout"]:
-                    results[i] = self._failure(
-                        d, "TimeoutError: job exceeded wall-clock timeout"
-                    )
-                    del remaining[i]
-            if remaining:
-                time.sleep(0.02)
-        self._drain_bus()
-
-    @staticmethod
-    def _failure(job_data: Dict[str, Any], error: str) -> Dict[str, Any]:
-        job = FleetJob(**job_data)
-        result = JobResult(
-            name=job.name or job.identity(),
-            app=job.app,
-            attack=job.attack,
-            ok=False,
-            error=error,
-        )
-        return result.to_dict()
+def _row(qjob: Any) -> Dict[str, Any]:
+    """A finished :class:`~repro.serve.queue.QueuedJob`'s report row, as
+    ``JobResult.to_dict()`` gives it."""
+    if qjob.result is None:  # it ended without a result: timed out, crashed
+        job = qjob.job
+        return JobResult(
+            name=job.name, app=job.app, attack=job.attack, ok=False,
+            error=qjob.error,
+        ).to_dict()
+    return {
+        key: value
+        for key, value in qjob.result.items()
+        if key not in ("id", "tenant")
+    }
 
 
 def run_fleet(
     spec: FleetSpec,
     library: ProfileLibrary,
-    snapshot: Optional[MachineSnapshot] = None,
-    use_processes: Optional[bool] = None,
     on_message: Optional[Callable[[Dict[str, Any]], None]] = None,
     heartbeat_interval: float = 0.5,
     journal_dir: Optional[Any] = None,
 ) -> FleetReport:
-    """Convenience wrapper: build a :class:`FleetRunner` and run it."""
-    return FleetRunner(
-        spec,
+    """Run ``spec`` to the end as one serve-daemon session.
+
+    Every (app, kernel build) profile is loaded first, so a missing or
+    corrupt one raises :class:`~repro.fleet.library.ProfileLibraryError`
+    before anything boots.  ``on_message`` receives each job's
+    ``start`` / ``heartbeat`` / ``journal`` / ``done`` events as the
+    daemon emits them (heartbeats at most every ``heartbeat_interval``
+    wall-clock seconds).  With ``journal_dir``, each job's span journal
+    is written to ``<journal_dir>/<name>.jsonl`` (``/`` in the name
+    becomes ``_``) as its segments arrive.
+    """
+    from repro.serve.daemon import ServeDaemon  # it imports this package
+
+    started = time.perf_counter()
+    for app, build in {
+        (job.app, job.guest_config().build_digest()) for job in spec.jobs
+    }:
+        library.get(app, build)
+    configs = {job.guest_config().digest(): job.guest_config() for job in spec.jobs}
+    daemon = ServeDaemon(
         library,
-        snapshot=snapshot,
-        use_processes=use_processes,
-        on_message=on_message,
+        min_workers=spec.workers,
+        max_workers=spec.workers,
+        max_queue_depth=len(spec.jobs),
+        # each job forks its clone on demand; a warm buffer would be
+        # refilled after every worker's last job for nothing
+        warm_target=0,
+        base_seed=spec.seed,
         heartbeat_interval=heartbeat_interval,
-        journal_dir=journal_dir,
-    ).run()
+        metrics_interval=None,
+        # an unbounded event sink: a journal segment is never dropped
+        watch_buffer=0,
+    )
+    sink, _ = daemon.subscribe()
+    journal_root = Path(journal_dir) if journal_dir is not None else None
+    if journal_root is not None:
+        journal_root.mkdir(parents=True, exist_ok=True)
+    writers: Dict[str, TraceJournalWriter] = {}
+    daemon.start(guests=list(configs.values()))
+    try:
+        queued = [daemon.submit(job.to_dict()) for job in spec.jobs]
+        running = {qjob.id for qjob in queued}
+        while running:
+            event = sink.get()
+            kind = event["type"]
+            if event.get("id") not in running or kind not in _JOB_EVENTS:
+                continue
+            name = event["job"]
+            if kind == "journal" and journal_root is not None:
+                writer = writers.get(name)
+                if writer is None:
+                    writer = writers[name] = TraceJournalWriter(
+                        journal_root / f"{name.replace('/', '_')}.jsonl",
+                        meta={"job": name, "spec": spec.name},
+                    )
+                writer.extend(event["records"], event["dropped"])
+            elif kind == "done":
+                running.discard(event["id"])
+                if name in writers:
+                    writers[name].close()
+            if on_message is not None:
+                on_message(event)
+    finally:
+        # every job has finished unless the loop raised; then only the
+        # running jobs finish, and the queued ones are dropped
+        daemon.shutdown(drain=False)
+        for writer in writers.values():
+            writer.close()
+    stats = daemon.stats()
+    variant_jobs = Counter(job.guest_config().digest() for job in spec.jobs)
+    return FleetReport(
+        spec_name=spec.name,
+        workers=spec.workers,
+        mode="processes",
+        results=[_row(qjob) for qjob in queued],
+        telemetry=stats["jobs_telemetry"],
+        wall_seconds=time.perf_counter() - started,
+        forked=sum(v["hits"] + v["misses"] for v in stats["pool"].values()),
+        base_frames=daemon.pool.frame_count(),
+        variants={
+            digest[:12]: {"label": configs[digest].label(), "jobs": count}
+            for digest, count in sorted(variant_jobs.items())
+        },
+        journal_paths={name: str(writers[name].path) for name in sorted(writers)},
+    )

@@ -19,7 +19,7 @@ so they can live in files and ship with benchmark configs::
 Every job gets a **deterministic derived seed**: SHA-256 over the fleet
 base seed and the job's identity.  Python's builtin ``hash()`` is
 process-randomized and must never be used here -- derived seeds have to
-match across the pool workers and any single-machine re-run used to
+match across the worker processes and any single-machine re-run used to
 check bit-identity.
 """
 
@@ -37,7 +37,7 @@ from repro.guest.config import GuestConfig, GuestConfigError, resolve_guest
 DEFAULT_SEED = 20140623
 #: Default per-guest virtual-cycle budget.
 DEFAULT_MAX_CYCLES = 60_000_000_000
-#: Default per-job wall-clock timeout (seconds) under the process pool.
+#: Default per-job wall-clock timeout (seconds), from when its clone is ready.
 DEFAULT_TIMEOUT = 120.0
 
 

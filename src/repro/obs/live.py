@@ -1,10 +1,10 @@
 """Live fleet observability: heartbeats, liveness, profile-drift detection.
 
-Fleet workers stream small status messages to the parent while their
-jobs run (see :mod:`repro.fleet.runner`); this module folds them into a
-per-job view that can answer, *before the pool drains*: which jobs are
-alive, which have stalled, and which are drifting away from their
-profiled baseline.
+Fleet and serve jobs stream small status events while they run (see
+:mod:`repro.fleet.runner` and :mod:`repro.serve.daemon`); this module
+folds them into a per-job view that can answer, *before the fleet
+drains*: which jobs are alive, which have stalled, and which are
+drifting away from their profiled baseline.
 
 Drift is the paper's re-profiling trigger (§III-B3): a job whose
 workload exercises kernel code its stored profile never covered keeps
@@ -87,11 +87,11 @@ class LiveFleetView:
 
     def update(self, message: Dict[str, Any], now: float = 0.0) -> List[str]:
         """Fold one worker (or serve-daemon) message in; returns new
-        notice lines.  Batch fleet workers emit ``start`` / ``heartbeat``
-        / ``journal`` / ``done``; the serve daemon additionally streams
-        ``queued`` / ``cancelled`` / ``rejected`` and ``serve-*``
-        lifecycle events, all folded here so ``repro ctl watch`` and
-        ``repro fleet --watch`` share one live view."""
+        notice lines.  ``repro fleet --watch`` relays each job's
+        ``start`` / ``heartbeat`` / ``journal`` / ``done``; ``repro ctl
+        watch`` additionally streams ``queued`` / ``cancelled`` /
+        ``rejected`` and ``serve-*`` lifecycle events, all folded here
+        so both share one live view."""
         kind = message.get("type")
         if kind == "rejected":
             # no job was created; tally the reason and surface the

@@ -71,6 +71,11 @@ class WarmPool:
         with self._lock:
             return sorted(self._snapshots)
 
+    def frame_count(self) -> int:
+        """Frames in the shared base images of every pooled snapshot."""
+        with self._lock:
+            return sum(s.frame_count for s in self._snapshots.values())
+
     # -- acquisition ---------------------------------------------------------
 
     def acquire(self, config: GuestConfig) -> Machine:

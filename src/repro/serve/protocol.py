@@ -79,8 +79,7 @@ def connect(address: str, timeout: Optional[float] = 10.0) -> socket.socket:
     """Connect to the daemon at ``address`` (raises ``OSError``)."""
     if is_tcp_address(address):
         sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        sock.settimeout(timeout)
-        sock.connect(_tcp_parts(address))
+        target: Any = _tcp_parts(address)
     else:
         if not hasattr(socket, "AF_UNIX"):  # pragma: no cover - windows
             raise ProtocolError(
@@ -88,8 +87,13 @@ def connect(address: str, timeout: Optional[float] = 10.0) -> socket.socket:
                 f"instead of {address!r}"
             )
         sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        target = address
+    try:
         sock.settimeout(timeout)
-        sock.connect(address)
+        sock.connect(target)
+    except OSError:
+        sock.close()
+        raise
     return sock
 
 

@@ -268,10 +268,7 @@ def run_worker_job(
             raise JobAborted("timeout", cycles)
 
     def send(message: Dict[str, Any]) -> None:
-        kind = message["type"]
-        if kind in ("start", "done"):
-            return  # the daemon emits its own lifecycle events
-        if kind == "heartbeat":
+        if message["type"] == "heartbeat":
             # what the daemon charges if this process dies mid-job
             message["consumed"] = consumed
         conn.send(message)

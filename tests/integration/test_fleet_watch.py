@@ -46,13 +46,14 @@ def stale_library(tmp_path_factory):
     return library
 
 
-def test_watch_streams_heartbeats_and_flags_drift(stale_library, tmp_path):
+def _watch(library, **kwargs):
+    """Run the two-job fleet through a live view; (report, messages, view)."""
     spec = FleetSpec.from_dict({
         "name": "watch", "workers": 2, "scale": 2,
         "jobs": [{"app": "top"}, {"app": "gzip"}],
     })
     baselines = {
-        job.name or job.identity(): len(stale_library.get(job.app).baseline)
+        job.name or job.identity(): len(library.get(job.app).baseline)
         for job in spec.jobs
     }
     view = LiveFleetView(baselines=baselines)
@@ -62,27 +63,13 @@ def test_watch_streams_heartbeats_and_flags_drift(stale_library, tmp_path):
         messages.append(dict(message))
         view.update(message, now=time.monotonic())
 
-    journal_dir = tmp_path / "journals"
-    report = run_fleet(
-        spec,
-        stale_library,
-        use_processes=False,
-        on_message=on_message,
-        heartbeat_interval=0.0,
-        journal_dir=journal_dir,
-    )
+    report = run_fleet(spec, library, on_message=on_message, **kwargs)
     assert report.failed == 0
+    return report, messages, view
 
-    # both jobs streamed: start, at least one heartbeat, done
-    kinds = {
-        name: {m["type"] for m in messages if m.get("job") == name}
-        for name in ("top#0", "gzip#0")
-    }
-    for name, seen in kinds.items():
-        assert {"start", "heartbeat", "done"} <= seen, (name, seen)
 
-    # the stale job -- and only it -- drifted, before the pool drained:
-    # the DRIFT notice must precede the job's done notice
+def _drift_precedes_done(view):
+    """Only the stale job drifted, flagged before its job's done notice."""
     assert view.drifting() == ["gzip#0"]
     drift_at = next(
         i for i, n in enumerate(view.notices) if "PROFILE DRIFT" in n
@@ -94,11 +81,30 @@ def test_watch_streams_heartbeats_and_flags_drift(stale_library, tmp_path):
     assert "re-profile gzip" in view.notices[drift_at]
     assert not view.jobs["top#0"].drifting
 
+
+def test_watch_streams_heartbeats_and_flags_drift(stale_library, tmp_path):
+    journal_dir = tmp_path / "journals"
+    report, messages, view = _watch(
+        stale_library, heartbeat_interval=0.0, journal_dir=journal_dir
+    )
+
+    # both jobs streamed: start, at least one heartbeat, done
+    kinds = {
+        name: {m["type"] for m in messages if m.get("job") == name}
+        for name in ("top#0", "gzip#0")
+    }
+    for name, seen in kinds.items():
+        assert {"start", "heartbeat", "done"} <= seen, (name, seen)
+
+    # the stale job -- and only it -- drifted, before the fleet drained:
+    # the DRIFT notice must precede the job's done notice
+    _drift_precedes_done(view)
+
     # per-job journals landed on disk as valid, loadable journals
     assert set(report.journal_paths) == {"top#0", "gzip#0"}
     for name, path in report.journal_paths.items():
         data = load_journal(path)
-        assert data.meta["job"] == name
+        assert data.meta == {"job": name, "spec": "watch"}
         assert data.records, f"{name} journal is empty"
         assert any(r["t"] == "span" for r in data.records)
 
@@ -108,12 +114,27 @@ def test_watch_streams_heartbeats_and_flags_drift(stale_library, tmp_path):
     assert "DRIFT" in gzip_line and "done" in gzip_line
 
 
+def test_drift_is_flagged_from_the_done_event_at_the_default_heartbeat(
+    stale_library,
+):
+    """At the default 0.5 s heartbeat a short job may send no heartbeat;
+    its done event carries its final recoveries and verdicts, so it
+    still drifts."""
+    _, messages, view = _watch(stale_library)
+    done = next(
+        m for m in messages if m["type"] == "done" and m["job"] == "gzip#0"
+    )
+    assert done["recoveries"] == view.jobs["gzip#0"].recoveries > 0
+    assert "verdicts" in done
+    _drift_precedes_done(view)
+
+
 def test_cli_fleet_watch_prints_live_notices(stale_library, tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main([
         "fleet", "--apps", "top", "--repeat", "1",
         "--library", str(stale_library.root),
-        "--no-offline", "--threads", "--watch", "--heartbeat", "0",
+        "--no-offline", "--watch", "--heartbeat", "0",
         "-o", str(out),
     ])
     assert code == 0

@@ -39,7 +39,7 @@ def test_daemon_scores_bit_identical_to_batch_fleet(library):
     spec = FleetSpec.from_dict(
         {"name": "ref", "workers": 2, "scale": 2, "jobs": jobs}
     )
-    report = run_fleet(spec, library, use_processes=False)
+    report = run_fleet(spec, library)
     assert report.failed == 0
     batch = {
         r["name"]: (r["cycles"], r["syscalls"]) for r in report.results

@@ -1,4 +1,8 @@
-"""Fleet spec validation, runner modes, crash isolation, determinism."""
+"""Fleet spec validation, worker counts, crash isolation, determinism."""
+
+import os
+import re
+import signal
 
 import pytest
 
@@ -10,10 +14,10 @@ from repro.fleet import (
     run_fleet,
 )
 from repro.fleet.jobs import execute_job
-from repro.fleet.runner import FleetRunner
 from repro.fleet.spec import FleetJob, derive_seed, uniform_spec
 from repro.guest.machine import boot_machine
 from repro.kernel.runtime import Platform
+from repro.telemetry.merge import merge_snapshots
 
 
 # ---------------------------------------------------------------------------
@@ -88,17 +92,14 @@ def library(tmp_path_factory):
     return lib
 
 
-def test_serial_and_threaded_runs_agree(library):
-    spec = uniform_spec(["top", "gzip"], scale=2, workers=1)
-    serial = run_fleet(spec, library)
-    spec2 = uniform_spec(["top", "gzip"], scale=2, workers=2)
-    threaded = run_fleet(spec2, library, use_processes=False)
-    assert serial.mode == "serial"
-    assert threaded.mode == "threads"
-    assert serial.failed == threaded.failed == 0
-    serial_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in serial.results}
-    thread_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in threaded.results}
-    assert serial_scores == thread_scores
+def test_one_and_two_worker_runs_agree(library):
+    one = run_fleet(uniform_spec(["top", "gzip"], scale=2, workers=1), library)
+    two = run_fleet(uniform_spec(["top", "gzip"], scale=2, workers=2), library)
+    assert one.mode == two.mode == "processes"
+    assert one.failed == two.failed == 0
+    one_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in one.results}
+    two_scores = {r["name"]: (r["cycles"], r["syscalls"]) for r in two.results}
+    assert one_scores == two_scores
 
 
 def test_same_job_twice_has_identical_telemetry(library):
@@ -115,18 +116,20 @@ def test_same_job_twice_has_identical_telemetry(library):
 
 
 def test_worker_crash_fails_job_not_fleet(library, monkeypatch):
-    import repro.fleet.runner as runner_mod
+    import repro.serve.daemon as daemon_mod
 
-    real_execute = runner_mod.execute_job
+    real_execute = daemon_mod.execute_job
 
-    def exploding(machine, job, record, base_seed=0):
+    def exploding(machine, job, record, base_seed=0, progress=None):
         if job.app == "gzip":
             raise RuntimeError("simulated guest crash")
-        return real_execute(machine, job, record, base_seed=base_seed)
+        return real_execute(
+            machine, job, record, base_seed=base_seed, progress=progress
+        )
 
-    monkeypatch.setattr(runner_mod, "execute_job", exploding)
+    monkeypatch.setattr(daemon_mod, "execute_job", exploding)
     spec = uniform_spec(["top", "gzip"], scale=2, workers=2)
-    report = run_fleet(spec, library, use_processes=False)
+    report = run_fleet(spec, library)
     by_name = {r["name"]: r for r in report.results}
     assert by_name["top#0"]["ok"]
     assert not by_name["gzip#0"]["ok"]
@@ -139,18 +142,26 @@ def test_missing_profile_is_a_library_error(library):
 
     spec = uniform_spec(["bash"], scale=1, workers=1)
     with pytest.raises(ProfileLibraryError, match="bash"):
-        FleetRunner(spec, library).run()
+        run_fleet(spec, library)
 
 
 def test_report_merges_fleet_telemetry(library):
     spec = uniform_spec(["top"], scale=2, workers=1, repeat=2)
     report = run_fleet(spec, library)
-    single = next(r for r in report.results if r["name"] == "top#0")
+    snapshot = boot_machine().snapshot()
+    singles = [
+        execute_job(snapshot.fork(), job, library.get("top")).telemetry
+        for job in spec.jobs
+    ]
     merged = report.telemetry
     assert merged["sources"] == 2
     # two identical guests: merged counters are exactly double
-    for name, value in single["telemetry"]["counters"].items():
+    for name, value in singles[0]["counters"].items():
         assert merged["counters"][name] == 2 * value
+    # the session's merge is the batch merge of the same jobs
+    expected = merge_snapshots(singles, sources=[job.name for job in spec.jobs])
+    for key in ("counters", "labelled_counters", "histograms", "sources"):
+        assert merged[key] == expected[key], key
     summary = report.format_summary()
     assert "2/2 jobs completed" in summary
 
@@ -162,3 +173,53 @@ def test_exhausted_cycle_budget_fails_job(library):
     report = run_fleet(spec, library)
     assert report.failed == 1
     assert "budget" in report.results[0]["error"]
+
+
+def test_sigkilled_worker_fails_only_its_job(library, monkeypatch):
+    """A worker SIGKILLed mid-job fails that job alone, with an error
+    naming its pid and signal; the fleet still returns, and leaves no
+    spawner or worker process behind."""
+    import repro.serve.daemon as daemon_mod
+    import repro.serve.worker as worker_mod
+
+    pids = []
+    real_init, real_spawn = worker_mod.Spawner.__init__, worker_mod.Spawner.spawn
+
+    def init(self, worker_main):
+        real_init(self, worker_main)
+        pids.append(self.pid)
+
+    def spawn(self, slot):
+        worker = real_spawn(self, slot)
+        pids.append(worker.pid)
+        return worker
+
+    real_execute = daemon_mod.execute_job
+
+    def dying(machine, job, record, base_seed=0, progress=None):
+        def fatal(m, fc):
+            progress(m, fc)
+            if job.app == "gzip":
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        return real_execute(machine, job, record, base_seed=base_seed, progress=fatal)
+
+    monkeypatch.setattr(worker_mod.Spawner, "__init__", init)
+    monkeypatch.setattr(worker_mod.Spawner, "spawn", spawn)
+    monkeypatch.setattr(daemon_mod, "execute_job", dying)
+    spec = uniform_spec(["top", "gzip"], scale=2, workers=2)
+    report = run_fleet(spec, library)
+    by_name = {r["name"]: r for r in report.results}
+    assert by_name["top#0"]["ok"], by_name["top#0"]["error"]
+    assert not by_name["gzip#0"]["ok"]
+    match = re.fullmatch(
+        r"WorkerCrashed: worker pid (\d+) was killed by SIGKILL "
+        r"while running the job",
+        by_name["gzip#0"]["error"],
+    )
+    assert match and int(match.group(1)) in pids[1:]
+    assert report.failed == 1
+    # the spawner, both workers, and the crashed one's replacement
+    # unless the drain began first
+    assert len(pids) >= 3
+    assert [pid for pid in pids if os.path.exists(f"/proc/{pid}")] == []

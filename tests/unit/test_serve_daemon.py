@@ -7,8 +7,12 @@ batch fleet) is covered by ``tests/integration/test_serve_e2e.py`` and
 the ``serve`` scenario of ``benchmarks/gates.py``.
 """
 
+import contextlib
+import gc
+import os
 import threading
 import time
+import warnings
 
 import pytest
 
@@ -56,6 +60,20 @@ def _daemon(tmp_path, executor, workers=1, **kw):
 
 def _events(daemon, kind):
     return [e for e in daemon._events if e["type"] == kind]
+
+
+@contextlib.contextmanager
+def _no_resource_warnings():
+    """Fail when the block leaves a socket or a file unclosed."""
+    gc.collect()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        yield
+        gc.collect()
+    leaks = [
+        str(w.message) for w in caught if issubclass(w.category, ResourceWarning)
+    ]
+    assert leaks == []
 
 
 # ---------------------------------------------------------------------------
@@ -297,8 +315,9 @@ def test_client_unreachable_raises(tmp_path):
     from repro.serve.client import DaemonUnreachable
 
     client = ServeClient(str(tmp_path / "nope.sock"))
-    with pytest.raises(DaemonUnreachable):
-        client.ping()
+    with _no_resource_warnings():
+        with pytest.raises(DaemonUnreachable):
+            client.ping()
 
 
 # ---------------------------------------------------------------------------
@@ -489,20 +508,30 @@ def test_metrics_http_listener_serves_scrapes(tmp_path):
 
 
 def test_bad_metrics_addr_rejected(tmp_path):
+    """The failed start is undone: its control socket, and with real
+    worker processes (no executor) its spawner, are gone."""
     from repro.serve import ServeError
 
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
-        auto_profile=True,
-        executor=_result,
-        warm_target=0,
-        metrics_addr="9464",  # no host part
-    )
-    try:
-        with pytest.raises(ServeError, match="host:port"):
-            daemon.start()
-    finally:
-        daemon.shutdown(timeout=5.0)
+    for executor in (_result, None):
+        sock = tmp_path / "bad.sock"
+        daemon = ServeDaemon(
+            ProfileLibrary(str(tmp_path / "lib")),
+            socket_path=str(sock),
+            auto_profile=True,
+            executor=executor,
+            warm_target=0,
+            metrics_addr="9464",  # no host part
+        )
+        try:
+            with _no_resource_warnings():
+                with pytest.raises(ServeError, match="host:port"):
+                    daemon.start()
+            assert not sock.exists()
+            spawner = daemon.stats()["workers"]["spawner"]
+            assert (spawner is None) == (executor is not None)
+            assert spawner is None or not os.path.exists(f"/proc/{spawner}")
+        finally:
+            daemon.shutdown(timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
