@@ -1,13 +1,15 @@
 """Serve worker processes: crash, cancel, shutdown and daemon-death outcomes.
 
 Each test runs real guests in real worker processes and checks one
-defined host-side outcome: a SIGKILLed worker fails exactly its job, a
+defined host-side outcome: a SIGKILLed worker fails exactly its job,
+jobs that no worker can run once the spawner is gone fail by name, a
 cancelled running job is charged what it consumed, a shutdown or a
 SIGKILLed daemon leaves no worker or spawner behind, and one app's
 offline profile never stalls another app's jobs.
 """
 
 import os
+import re
 import select
 import signal
 import subprocess
@@ -136,6 +138,37 @@ def test_cancel_of_a_running_real_job_charges_what_it_consumed(library):
         assert 0 < _charged(daemon) - before < full
     finally:
         daemon.unsubscribe(sink)
+        daemon.shutdown(timeout=30.0)
+
+
+def test_jobs_fail_by_name_once_the_spawner_is_gone(library, monkeypatch):
+    """A worker that dies after its spawner did cannot be replaced: its
+    job and every later one fail with the cause named, and none waits
+    in the queue for a worker that never comes."""
+    import repro.serve.daemon as daemon_mod
+
+    def doomed(machine, job, record, base_seed=0, progress=None):
+        os.kill(os.getppid(), signal.SIGKILL)  # the worker's spawner
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    monkeypatch.setattr(daemon_mod, "execute_job", doomed)
+    daemon = ServeDaemon(library, min_workers=1, max_workers=1, warm_target=0)
+    daemon.start()
+    try:
+        queued = [daemon.submit({"app": "top", "scale": 1}) for _ in range(3)]
+        done = [daemon.queue.wait_terminal(q.id, timeout=60.0) for q in queued]
+        assert [d.state if d else None for d in done] == ["failed"] * 3
+        assert re.fullmatch(
+            r"WorkerCrashed: worker pid \d+ exited \(status unknown\) "
+            r"while running the job",
+            done[0].error,
+        )
+        for later in done[1:]:
+            assert later.error == (
+                "WorkerCrashed: the worker spawner has exited, so no "
+                "worker process can run the job"
+            )
+    finally:
         daemon.shutdown(timeout=30.0)
 
 
