@@ -16,7 +16,10 @@ signature ``push ebp; mov ebp, esp`` (``55 89 e5``) at power-of-two
 aligned addresses (the kernel is built with ``-falign-functions``).  The
 prologue positions of each region are memoized (invalidated by writes to
 the region's frames via ``physmem.code_epoch``), so widening many ranges
-costs one linear scan per region plus a bisect per range.
+costs one linear scan per region plus a bisect per range.  The memo
+belongs to the machine (``Machine.boundary_finder``): snapshot capture
+scans every code region once (:meth:`ViewBuilder.index_code`), and every
+fork inherits the index instead of rescanning the kernel text per job.
 
 Installing a view re-points EPT entries for the covered guest-physical
 pages at the view's frames; uninstalling restores identity mappings.
@@ -24,6 +27,7 @@ pages at the view's frames; uninstalling restores identity mappings.
 
 from __future__ import annotations
 
+import copy
 from bisect import bisect_right, insort
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
@@ -57,6 +61,16 @@ class FunctionBoundaryFinder:
         #: (region_start, region_end) -> (code_epoch, sorted prologue gvas)
         self._prologues: Dict[Tuple[int, int], Tuple[int, List[int]]] = {}
 
+    def __deepcopy__(self, memo) -> "FunctionBoundaryFinder":
+        # a snapshot fork: prologue lists are never mutated once built,
+        # so the clone shares them; the memo dict is its own, since a
+        # clone whose code is patched rescans
+        clone = FunctionBoundaryFinder.__new__(FunctionBoundaryFinder)
+        memo[id(self)] = clone
+        clone.physmem = copy.deepcopy(self.physmem, memo)
+        clone._prologues = dict(self._prologues)
+        return clone
+
     def _signature_at(self, gva: int) -> bool:
         return (
             self.physmem.read(gva_to_gpa(gva), len(PROLOGUE_SIGNATURE))
@@ -71,6 +85,9 @@ class FunctionBoundaryFinder:
         cached = self._prologues.get(key)
         if cached is not None and cached[0] == epoch:
             return cached[1]
+        return self._scan(region_start, region_end)
+
+    def _scan(self, region_start: int, region_end: int) -> List[int]:
         sig = PROLOGUE_SIGNATURE
         gpa_start = gva_to_gpa(region_start)
         # per-candidate probes read up to len(sig)-1 bytes past
@@ -90,7 +107,7 @@ class FunctionBoundaryFinder:
             if (region_start + pos) % FUNCTION_ALIGN == 0:
                 addrs.append(region_start + pos)
             pos = data.find(sig, pos + 1)
-        self._prologues[key] = (epoch, addrs)
+        self._prologues[(region_start, region_end)] = (epoch, addrs)
         return addrs
 
     def containing_function(
@@ -118,12 +135,13 @@ class KernelView:
         index: int,
         config: KernelViewConfig,
         physmem: PhysicalMemory,
-        finder: Optional[FunctionBoundaryFinder] = None,
+        finder: FunctionBoundaryFinder,
     ) -> None:
         self.index = index
         self.config = config
         self.physmem = physmem
-        self.finder = finder if finder is not None else FunctionBoundaryFinder(physmem)
+        #: the machine's finder (``Machine.boundary_finder``)
+        self.finder = finder
         #: gpfn -> hpfn for every covered kernel-code page.  The hpfn is
         #: the canonical UD2 frame, the original guest frame (fully
         #: loaded pages) or a private frame (partially filled pages).
@@ -321,42 +339,49 @@ class ViewBuilder:
     """Builds :class:`KernelView` objects from configs + guest state.
 
     ``widen=False`` disables the whole-function loading relaxation
-    (ablation of Section III-B1).  One :class:`FunctionBoundaryFinder`
-    is shared across all views built by this builder, so prologue scans
-    are amortized machine-wide.
+    (ablation of Section III-B1).  Every view shares the machine's
+    :class:`FunctionBoundaryFinder`, so prologue scans are amortized
+    machine-wide -- and, through snapshot capture, across forks.
     """
 
     def __init__(self, machine, widen: bool = True) -> None:
         self.machine = machine
         self.widen = widen
-        self.finder = FunctionBoundaryFinder(machine.physmem)
+        self.finder = machine.boundary_finder
+
+    def code_regions(self) -> List[Tuple[str, Tuple[int, int]]]:
+        """``(segment, (start, end))`` of every code region a view
+        covers: the base kernel text, then each loaded module, located
+        through the guest module list (VMI)."""
+        image = self.machine.image
+        regions = [(BASE_KERNEL, (image.text_start, image.text_end))]
+        modules = {
+            mod.name: mod for mod in self.machine.introspector.read_module_list()
+        }
+        for name, module in modules.items():
+            regions.append((name, (module.base, module.base + module.size)))
+        return regions
+
+    def index_code(self) -> None:
+        """Scan every code region into the machine's prologue index
+        (snapshot capture: forks inherit the index)."""
+        for _, (start, end) in self.code_regions():
+            self.finder._prologue_index(start, end)
 
     def build(self, index: int, config: KernelViewConfig) -> KernelView:
         view = KernelView(
             index, config, self.machine.physmem, finder=self.finder
         )
-        image = self.machine.image
-        # base kernel text
-        base_region = (image.text_start, image.text_end)
-        view.add_region(*base_region)
-        base_ranges = config.profile.segments.get(BASE_KERNEL)
-        if base_ranges is not None:
-            view.load_function_ranges(base_ranges, base_region, widen=self.widen)
-        # modules, located through the guest module list (VMI)
-        introspector = self.machine.introspector
-        modules = {
-            mod.name: mod for mod in introspector.read_module_list()
-        }
-        for name, module in modules.items():
-            region = (module.base, module.base + module.size)
+        for name, region in self.code_regions():
             view.add_region(*region)
-            rel_ranges = config.profile.segments.get(name)
-            if rel_ranges is not None:
-                absolute = [
-                    (module.base + begin, module.base + end)
-                    for begin, end in rel_ranges
-                ]
-                view.load_function_ranges(absolute, region, widen=self.widen)
+            ranges = config.profile.segments.get(name)
+            if ranges is None:
+                continue
+            if name != BASE_KERNEL:
+                # module ranges are relative to the module's load base
+                base = region[0]
+                ranges = [(base + begin, base + end) for begin, end in ranges]
+            view.load_function_ranges(ranges, region, widen=self.widen)
         return view
 
     def extend_for_module(self, view: KernelView, name: str) -> None:

@@ -38,6 +38,7 @@ import copy
 import threading
 from typing import Dict, Optional
 
+from repro.core.view_manager import ViewBuilder
 from repro.guest.config import GuestConfig
 from repro.guest.machine import Machine
 from repro.kernel.registry import REGISTRY
@@ -137,6 +138,9 @@ class MachineSnapshot:
         later forks.
         """
         _check_pristine(machine)
+        # the prologue index is built here, once, and every fork inherits
+        # it (validated by ``code_epoch`` like any other scan)
+        ViewBuilder(machine).index_code()
         # caches hold direct frame references; dropping them is
         # semantically invisible and keeps them out of the template
         machine.flush_caches()

@@ -18,6 +18,7 @@ from dataclasses import replace
 from typing import TYPE_CHECKING, Any, Callable, Generator, List, Optional, Union
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.view_manager import FunctionBoundaryFinder
     from repro.fleet.snapshot import MachineSnapshot
 
 from repro.guest.config import GuestConfig, resolve_guest
@@ -100,6 +101,7 @@ class Machine:
         self.vcpus: List[Vcpu] = []
         self.introspector: Optional[Introspector] = None
         self.jit_enabled = env_jit_enabled() if jit is None else bool(jit)
+        self._boundary_finder: Optional["FunctionBoundaryFinder"] = None
 
     @property
     def ept(self) -> ExtendedPageTable:
@@ -115,6 +117,17 @@ class Machine:
     def build_digest(self) -> str:
         """Kernel-build digest (platform excluded; profiles pin to this)."""
         return self.config.build_digest()
+
+    @property
+    def boundary_finder(self) -> "FunctionBoundaryFinder":
+        """The machine's function-boundary finder, whose prologue index
+        every kernel view built on it shares (snapshot capture fills
+        it, so forks inherit it)."""
+        if self._boundary_finder is None:
+            from repro.core.view_manager import FunctionBoundaryFinder
+
+            self._boundary_finder = FunctionBoundaryFinder(self.physmem)
+        return self._boundary_finder
 
     @property
     def telemetry(self) -> Telemetry:

@@ -60,6 +60,18 @@ translate each page once per process.  Views that map the next page
 differently get different keys, so they neither evict nor misuse each
 other's members.
 
+Promotion is remembered per process too: a process-wide set holds the
+``(hpfn, version)`` of every page a vCPU promoted, and a later machine
+-- the next fork of a snapshot, a serve worker's next job, which
+inherits what the daemon's offline profiles warmed -- promotes such a
+page at its first execution instead of after ``PROMOTE_THRESHOLD``
+interpreted runs.  The key is only a hint (another fork's private view
+frame may reuse it with other bytes); the code still comes from the
+content-keyed cache, so promoting early is always safe.  Host counters
+(``jit.*``, ``decode.*``, ``mmu.tlb.*``) therefore depend on what the
+process ran before, as wall time does; scores and guest-visible state
+do not.
+
 Bit-identity contract
 ---------------------
 
@@ -87,7 +99,8 @@ constants baked into the source and the immutable sentinels of
 thread in the process, and the functions made from it are safe under
 the ``deepcopy`` used by ``MachineSnapshot``.  Snapshot capture
 flushes the tables anyway (``Machine.flush_caches``); forks re-promote
-their pages and refill the tables from the translation cache.
+their pages (at first touch, see above) and refill the tables from the
+translation cache.
 """
 
 from __future__ import annotations
@@ -95,7 +108,7 @@ from __future__ import annotations
 import os
 from bisect import bisect_right
 from types import CodeType, FunctionType
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.isa.decoder import decode
 from repro.isa.opcodes import Instr, Op
@@ -129,6 +142,16 @@ _MAX_HEAT = 8192
 #: only costs rebuilding equal code.
 _TRANSLATIONS: Dict[tuple, Tuple[CodeType, int]] = {}
 _MAX_TRANSLATIONS = 8192
+#: Process-wide ``(hpfn, frame version)`` keys of every page a vCPU of
+#: this process promoted.  A later machine -- the next fork of a
+#: snapshot, a worker's next job -- promotes such a page on its first
+#: execution instead of after ``PROMOTE_THRESHOLD`` interpreted runs.
+#: The key is only a hint: code is still looked up by page content, so a
+#: frame that reuses a key with other bytes (another job's private view
+#: frame) merely promotes early.  Cleared wholesale when full; sets are
+#: safe to race on under the interpreter lock.
+PROMOTED: Set[Tuple[int, int]] = set()
+_MAX_PROMOTED = 8192
 #: Interned page bytes: one copy of each distinct code page, shared by
 #: the translation cache's keys and the vCPU's block-decode memo (a
 #: racing thread may keep an equal second copy; keys compare by value).
@@ -276,11 +299,15 @@ class JitState:
             if len(tables) >= self.max_tables:
                 self.invalidations.inc("capacity", len(tables))
                 tables.clear()
-        self.heat.pop((hpfn, version), None)
+        key = (hpfn, version)
+        self.heat.pop(key, None)
+        if len(PROMOTED) >= _MAX_PROMOTED:
+            PROMOTED.clear()
+        PROMOTED.add(key)
         table = JitPageTable(
             vfn, vcpu._trap_epoch, vcpu._page_trap_sig(vfn), intern_page(frame)
         )
-        tables[(hpfn, version)] = JitPageGroup(table)
+        tables[key] = JitPageGroup(table)
         self.promotions.inc()
         return table
 

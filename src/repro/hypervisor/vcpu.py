@@ -26,6 +26,7 @@ from repro.isa.decoder import decode
 from repro.isa.opcodes import Instr, Op
 from repro.memory.layout import PAGE_SIZE, is_kernel_address
 from repro.memory.mmu import Mmu, TranslationError
+from repro.hypervisor import jit as jit_module
 from repro.hypervisor.jit import BAIL as _JIT_BAIL
 from repro.hypervisor.jit import STALE as _JIT_STALE
 from repro.hypervisor.jit import JitState, intern_page
@@ -663,6 +664,7 @@ class Vcpu:
         tables = jit.tables
         heat = jit.heat
         code_pages = jit.code_pages
+        promoted = jit_module.PROMOTED
         irq = self.irq_state
         while self.instructions < stop:
             if self.cycles >= self._sample_due:
@@ -724,7 +726,7 @@ class Vcpu:
                     fn = jit.translate(self, eip, table)
             else:
                 n = heat.get(key, 0) + 1
-                if n >= jit.threshold:
+                if n >= jit.threshold or key in promoted:
                     table = jit.promote(self, frame, hpfn, version, vfn)
                     members = table.members
                     fn = jit.translate(self, eip, table)

@@ -15,7 +15,7 @@ keep their original mappings.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
 from repro.memory.layout import PAGE_SHIFT
 
@@ -103,21 +103,21 @@ class ExtendedPageTable:
         self._bump_epoch(gpfn >> _TABLE_BITS)
 
     def map_frames(self, pairs: Iterable[Tuple[int, int]]) -> None:
-        """Batch variant of :meth:`map_frame` (one generation bump)."""
-        touched = False
+        """Batch variant of :meth:`map_frame`: one generation bump, and
+        one epoch bump per level-2 table the batch changed."""
+        touched = set()
         for gpfn, hpfn in pairs:
-            table = self._directory.get(gpfn >> _TABLE_BITS)
+            dir_index = gpfn >> _TABLE_BITS
+            table = self._directory.get(dir_index)
             if table is None:
                 table = _EptLevel2()
-                self._directory[gpfn >> _TABLE_BITS] = table
+                self._directory[dir_index] = table
             index = gpfn & _TABLE_MASK
             if table.entries.get(index) == hpfn:
                 continue
             table.entries[index] = hpfn
-            self._bump_epoch(gpfn >> _TABLE_BITS)
-            touched = True
-        if touched:
-            self.generation += 1
+            touched.add(dir_index)
+        self._end_batch(touched)
 
     def unmap_frame(self, gpfn: int) -> None:
         """Remove an override, reverting ``gpfn`` to identity mapping."""
@@ -128,15 +128,23 @@ class ExtendedPageTable:
             self._bump_epoch(gpfn >> _TABLE_BITS)
 
     def unmap_frames(self, gpfns: Iterable[int]) -> None:
-        touched = False
+        """Batch variant of :meth:`unmap_frame` (bumps as ``map_frames``)."""
+        touched = set()
         for gpfn in gpfns:
-            table = self._directory.get(gpfn >> _TABLE_BITS)
+            dir_index = gpfn >> _TABLE_BITS
+            table = self._directory.get(dir_index)
             if table is not None and (gpfn & _TABLE_MASK) in table.entries:
                 del table.entries[gpfn & _TABLE_MASK]
-                self._bump_epoch(gpfn >> _TABLE_BITS)
-                touched = True
+                touched.add(dir_index)
+        self._end_batch(touched)
+
+    def _end_batch(self, touched: Set[int]) -> None:
+        # cached translations compare epochs for equality, so one bump
+        # per changed table invalidates exactly what one per frame did
         if touched:
             self.generation += 1
+            for dir_index in touched:
+                self._bump_epoch(dir_index)
 
     def overridden_gpfns(self) -> List[int]:
         """All gpfns with non-identity mappings (for inspection/tests)."""

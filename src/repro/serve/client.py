@@ -100,6 +100,7 @@ class ServeClient:
         if transport_timeout == -1.0:
             transport_timeout = self.timeout
         sock = self._connect(transport_timeout)
+        reader = None
         try:
             protocol.send_message(sock, {"op": op, **params})
             reader = sock.makefile("rb")
@@ -111,10 +112,7 @@ class ServeClient:
                 reason="unreachable",
             ) from exc
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            protocol.close_quietly(reader, sock)
         if response is None:
             raise DaemonUnreachable(
                 f"serve daemon at {self.address!r} closed the connection "
@@ -219,6 +217,7 @@ class ServeClient:
         """Yield streamed daemon events until the daemon stops (or the
         consumer breaks out, closing the connection)."""
         sock = self._connect(None)
+        reader = None
         try:
             protocol.send_message(sock, {"op": "watch", "since": since})
             reader = sock.makefile("rb")
@@ -237,7 +236,4 @@ class ServeClient:
                     return
                 yield event
         finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
+            protocol.close_quietly(reader, sock)

@@ -1228,6 +1228,7 @@ class ServeDaemon:
             ] + [thread]
 
     def _handle_connection(self, conn) -> None:
+        reader = None
         try:
             reader = conn.makefile("rb")
             request = protocol.recv_message(reader)
@@ -1237,10 +1238,7 @@ class ServeDaemon:
         except (OSError, protocol.ProtocolError):
             pass
         finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
+            protocol.close_quietly(reader, conn)
 
     def _dispatch_request(self, conn, reader, request: Dict[str, Any]) -> None:
         op = request.get("op")

@@ -97,6 +97,18 @@ def connect(address: str, timeout: Optional[float] = 10.0) -> socket.socket:
     return sock
 
 
+def close_quietly(reader, sock: socket.socket) -> None:
+    """Close a connection's ``makefile`` reader (if any), then the
+    socket, ignoring errors.  The reader goes first: until it is closed
+    it keeps the socket's descriptor open."""
+    for stream in (reader, sock):
+        if stream is not None:
+            try:
+                stream.close()
+            except OSError:
+                pass
+
+
 def send_message(sock: socket.socket, message: Dict[str, Any]) -> None:
     """Ship one JSON object as one line."""
     data = json.dumps(message, separators=(",", ":"), sort_keys=True)

@@ -8,7 +8,9 @@ otherwise identical worlds, with host-side events (trap arm/disarm
 mid-superblock, CoW-style code writes, sampler installation) injected
 between slices, and every observable compared after every slice.  A
 second translated world then replays the scenario from the
-process-wide translation cache and must match slice by slice too.
+process-wide translation cache and must match slice by slice too, and so
+must a world that starts warm: the process already holds another
+program's pages at the same virtual addresses and frame keys.
 """
 
 import struct
@@ -120,7 +122,7 @@ def _assemble(slot_specs):
     return bytes(page)
 
 
-def _make_world(page, jit, preds, slots_tbl):
+def _make_world(page, jit, preds, slots_tbl, threshold=1):
     physmem = PhysicalMemory()
     ept = ExtendedPageTable()
     pt = GuestPageTable()
@@ -137,7 +139,8 @@ def _make_world(page, jit, preds, slots_tbl):
     physmem.write(CODE_BASE + PAGE_SIZE, b"\xf4")  # parking hlt
     if jit:
         vcpu.set_jit(True)
-        vcpu._jit.threshold = 1  # translate eagerly under tiny budgets
+        # translate eagerly under tiny budgets, by default
+        vcpu._jit.threshold = threshold
     return physmem, vcpu, bridge
 
 
@@ -247,8 +250,8 @@ def _drive(worlds, scenario):
 
 @contextmanager
 def _counting_builds():
-    """An empty translation cache, and the entry offset of every member
-    generated inside the block."""
+    """Empty process-wide caches (promoted pages, translated code), and
+    the entry offset of every member generated inside the block."""
     calls = []
     real = jit_mod._Codegen.build
 
@@ -256,9 +259,10 @@ def _counting_builds():
         calls.append(entry_off)
         return real(self, entry_off)
 
-    with mock.patch.object(jit_mod, "_TRANSLATIONS", {}):
-        with mock.patch.object(jit_mod._Codegen, "build", counting):
-            yield calls
+    with mock.patch.object(jit_mod, "PROMOTED", set()):
+        with mock.patch.object(jit_mod, "_TRANSLATIONS", {}):
+            with mock.patch.object(jit_mod._Codegen, "build", counting):
+                yield calls
 
 
 @settings(max_examples=30, deadline=None)
@@ -275,3 +279,24 @@ def test_translated_equals_interpreted(scenario):
         replay = _drive([_make_world(page, True, preds, slots_tbl)], scenario)
     assert builds == []
     assert replay == reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(scenarios(), scenarios())
+def test_warm_process_cache_equals_interpreted(scenario, other):
+    """Another program first runs at the same virtual addresses, so the
+    process cache holds its pages under the very ``(hpfn, version)``
+    keys and ``(vfn, trap signature)`` this world's pages get.  At the
+    default promotion threshold those keys promote this world's pages at
+    first touch; it must still run its own bytes, slice by slice."""
+    preds, slots_tbl, slot_specs = scenario[:3]
+    page = _assemble(slot_specs)
+    with _counting_builds():
+        _drive(
+            [_make_world(_assemble(other[2]), True, other[0], other[1])], other
+        )
+        worlds = [
+            _make_world(page, jit, preds, slots_tbl, jit_mod.PROMOTE_THRESHOLD)
+            for jit in (False, True)
+        ]
+        _drive(worlds, scenario)

@@ -9,13 +9,16 @@ import pytest
 from repro.apps.base import launch
 from repro.apps.catalog import APP_CATALOG
 from repro.core.facechange import FaceChange
+from repro.core.kernel_view import KernelViewConfig
+from repro.core.rangelist import BASE_KERNEL, KernelProfile
+from repro.core.view_manager import FunctionBoundaryFinder, ViewBuilder, gva_to_gpa
 from repro.fleet.jobs import execute_job, profile_app_offline
 from repro.fleet.snapshot import MachineSnapshot, SnapshotError
 from repro.fleet.spec import FleetJob
 from repro.guest.machine import boot_machine
 from repro.kernel.runtime import Platform
 from repro.malware import ALL_ATTACKS
-from repro.memory.layout import KERNEL_BASE, KERNEL_TEXT_BASE, PAGE_SHIFT
+from repro.memory.layout import KERNEL_BASE, KERNEL_TEXT_BASE, PAGE_SHIFT, PAGE_SIZE
 from repro.serve import WarmPool
 from repro.serve.worker import run_worker_job
 
@@ -138,6 +141,52 @@ def test_forks_share_kernel_symbol_objects(snapshot):
         assert b.image.symbols[name] is symbol
     for x, y in zip(a.image._sorted_symbols, b.image._sorted_symbols):
         assert x is y
+
+
+def _view_pages(machine, view):
+    return {
+        gpfn: machine.physmem.read(hpfn << PAGE_SHIFT, PAGE_SIZE)
+        for gpfn, hpfn in view.frames.items()
+    }
+
+
+def test_forks_inherit_the_prologue_index(monkeypatch, snapshot):
+    """Capture scans the kernel code for function prologues once: a
+    fork's first view build scans nothing and yields the view a fresh
+    boot builds, and a fork whose kernel text is patched scans again."""
+    scans = []
+    real = FunctionBoundaryFinder._scan
+
+    def counting(self, start, end):
+        scans.append((start, end))
+        return real(self, start, end)
+
+    monkeypatch.setattr(FunctionBoundaryFinder, "_scan", counting)
+    fresh = boot_machine(platform=Platform.KVM)
+    image = fresh.image
+    profile = KernelProfile()
+    for name in ("vfs_read", "schedule"):
+        start, end = image.function_range(name)
+        profile.add(BASE_KERNEL, start + 1, end - 2)  # widened back
+    symbol = next(s for s in image._sorted_symbols if s.module)
+    base = image.modules[symbol.module].base
+    start, end = image.function_range(symbol.name)
+    profile.add(symbol.module, start - base + 1, end - base - 2)
+    config = KernelViewConfig(app="t", profile=profile)
+    expected = _view_pages(fresh, ViewBuilder(fresh).build(0, config))
+    assert (image.text_start, image.text_end) in scans
+    del scans[:]
+    clone = snapshot.fork()
+    assert _view_pages(clone, ViewBuilder(clone).build(0, config)) == expected
+    assert scans == []
+    patched = snapshot.fork()
+    text = gva_to_gpa(image.text_start)
+    patched.physmem.write(text, patched.physmem.read(text, 1))
+    assert _view_pages(patched, ViewBuilder(patched).build(0, config)) == expected
+    assert (image.text_start, image.text_end) in scans
+    del scans[:]
+    ViewBuilder(snapshot.fork()).build(0, config)
+    assert scans == []
 
 
 def test_module_hot_loaded_in_one_clone_stays_in_that_clone(snapshot):

@@ -8,7 +8,11 @@ import pytest
 
 import repro.hypervisor.jit as jit_mod
 from repro.core.facechange import FaceChange
-from repro.fleet.jobs import execute_job, profile_app_offline
+from repro.fleet.jobs import (
+    execute_job,
+    profile_app_offline,
+    run_job_on_fresh_machine,
+)
 from repro.fleet.spec import FleetJob
 from repro.guest.machine import boot_machine
 from repro.hypervisor.jit import env_jit_enabled
@@ -59,6 +63,15 @@ def write_loop(physmem, base=CODE_BASE):
     b = b"\x90" * 4 + b"\xe9" + (-0x29 & 0xFFFFFFFF).to_bytes(4, "little")
     physmem.write(base, a)
     physmem.write(base + 0x20, b)
+
+
+@pytest.fixture(autouse=True)
+def cold_process(monkeypatch):
+    """Every test starts from empty process-wide caches (no promoted
+    pages, no translated code): they outlive machines by design, so
+    counters here would otherwise depend on the tests run before."""
+    monkeypatch.setattr(jit_mod, "PROMOTED", set())
+    monkeypatch.setattr(jit_mod, "_TRANSLATIONS", {})
 
 
 # -- env toggle ------------------------------------------------------------
@@ -239,9 +252,8 @@ def test_spanning_instruction_executes_identically():
 
 @pytest.fixture
 def builds(monkeypatch):
-    """An empty translation cache, and the entry offset of every
-    member generated while the test runs."""
-    monkeypatch.setattr(jit_mod, "_TRANSLATIONS", {})
+    """The entry offset of every member generated while the test runs
+    (the process-wide caches start empty, see ``cold_process``)."""
     calls = []
     real = jit_mod._Codegen.build
 
@@ -305,51 +317,142 @@ def test_members_are_keyed_by_virtual_page_and_irq_state(builds):
         assert 0 in builds
 
 
+def test_known_page_promotes_at_first_touch(builds):
+    """A second machine promotes a page the first one promoted on its
+    first execution: nothing is interpreted, and the member's code comes
+    from the translation cache."""
+    states = []
+    for _ in range(2):
+        physmem, vcpu = make_world(threshold=3)
+        write_loop(physmem)
+        del builds[:]
+        vcpu.run(budget=50)
+        assert vcpu._jit.promotions.value == 1
+        states.append((vcpu.eip, vcpu.cycles, vcpu.instructions))
+    assert states[0] == states[1]
+    assert builds == []
+    (group,) = vcpu._jit.tables.values()
+    assert 0 in group.active.members
+    # a cold page needs two interpreted runs first (threshold 3)
+    assert vcpu.block_cache.hits.value + vcpu.block_cache.misses.value == 0
+
+
+def test_same_key_with_other_bytes_gets_its_own_members(builds):
+    """A frame that reuses a promoted ``(hpfn, version)`` with other
+    bytes promotes early but never runs the other page's code."""
+    physmem, vcpu = make_world(threshold=3)
+    write_loop(physmem)
+    vcpu.run(budget=50)
+    # write_loop's layout and writes (so the same frame version), with
+    # cli/sti and a frame-pointer move where write_loop has fillers
+    a = b"\xfa" * 4 + b"\xe9" + (0x17).to_bytes(4, "little")
+    b = b"\x89\xe5\xfa\xfb\xe9" + (-0x29 & 0xFFFFFFFF).to_bytes(4, "little")
+    results = []
+    for jit in (True, False):
+        physmem2, other = make_world(jit=jit, threshold=3)
+        physmem2.write(CODE_BASE, a)
+        physmem2.write(CODE_BASE + 0x20, b)
+        del builds[:]
+        other.run(budget=50)
+        results.append(
+            (other.eip, other.esp, other.cycles, other.instructions, other.if_enabled)
+        )
+        if jit:
+            assert other._jit.promotions.value == 1
+            assert builds == [0]
+    assert results[0] == results[1]
+
+
 @pytest.fixture(scope="module")
 def top_record():
     return profile_app_offline("top", scale=1)
 
 
-def _score_and_jit_counters(result):
-    telemetry = result.telemetry
-    return (
-        result.score,
-        {k: v for k, v in telemetry["counters"].items() if k.startswith("jit.")},
-        telemetry["labelled_counters"].get("jit.invalidations"),
-    )
+def _fetches(result):
+    """Interpreted block fetches (the decode cache's lookups)."""
+    counters = result.telemetry["counters"]
+    return counters["decode.hits"] + counters["decode.misses"]
 
 
 def test_second_fork_is_served_from_the_translation_cache(
     builds, monkeypatch, top_record
 ):
+    """Against an empty process cache, a second fork of one snapshot
+    running the same job promotes the first fork's pages at first touch
+    and reuses their code: far fewer interpreted blocks, the same score.
+    It still generates the members for entries the first fork ran only
+    while their page was cold; a third fork generates none."""
     monkeypatch.delenv("REPRO_JIT", raising=False)
     snapshot = boot_machine(platform=Platform.KVM).snapshot()
     job = FleetJob(app="top", scale=1, name="top#0")
     first = execute_job(snapshot.fork(), job, top_record)
-    assert builds
+    first_builds = len(builds)
+    assert first_builds
     del builds[:]
     second = execute_job(snapshot.fork(), job, top_record)
+    assert len(builds) < first_builds / 2
+    assert second.score == first.score
+    assert _fetches(second) <= _fetches(first) / 5
+    promotions = first.telemetry["counters"]["jit.promotions"]
+    assert promotions > 0
+    assert second.telemetry["counters"]["jit.promotions"] == promotions
+    del builds[:]
+    third = execute_job(snapshot.fork(), job, top_record)
     assert builds == []
-    assert _score_and_jit_counters(second) == _score_and_jit_counters(first)
-    assert first.telemetry["counters"]["jit.promotions"] > 0
+    assert third.score == first.score
+
+
+def test_forks_reusing_view_frame_keys_score_like_fresh_machines(
+    monkeypatch, top_record
+):
+    """top, then gzip, then top on forks of one snapshot.  Every fork
+    allocates its private view frames at the same hpfns, so top's and
+    gzip's share ``(hpfn, version)`` keys with different bytes; each
+    score must still equal a fresh machine's."""
+    monkeypatch.delenv("REPRO_JIT", raising=False)
+    records = {"top": top_record, "gzip": profile_app_offline("gzip", scale=1)}
+    jobs = [FleetJob(app=app, scale=1, name=app) for app in ("top", "gzip", "top")]
+    expected = [
+        run_job_on_fresh_machine(job, records[job.app]).score for job in jobs
+    ]
+    monkeypatch.setattr(jit_mod, "PROMOTED", set())
+    monkeypatch.setattr(jit_mod, "_TRANSLATIONS", {})
+    snapshot = boot_machine().snapshot()
+    scores = []
+    pages = []
+    for job in jobs:
+        clone = snapshot.fork()
+        scores.append(execute_job(clone, job, records[job.app]).score)
+        tables = clone.vcpu._jit.tables
+        pages.append({key: group.active.data for key, group in tables.items()})
+        clone.close()
+    assert scores == expected
+    shared_keys = set(pages[0]) & set(pages[1])
+    assert any(pages[0][key] != pages[1][key] for key in shared_keys)
 
 
 def test_threads_racing_on_an_empty_cache_match_a_serial_run(
     builds, monkeypatch, top_record
 ):
     """More worker threads than cores fill one empty cache at once, with
-    a short switch interval: every job scores and counts exactly like a
-    serial run (a lost insert may only cost a rebuild)."""
+    a short switch interval: every job scores exactly like a serial run
+    and promotes the same pages (a lost insert may only cost a rebuild;
+    how many members each one generates depends on the race)."""
     monkeypatch.delenv("REPRO_JIT", raising=False)
     snapshot = boot_machine(platform=Platform.KVM).snapshot()
     job = FleetJob(app="top", scale=1, name="top#0")
-    expected = _score_and_jit_counters(execute_job(snapshot.fork(), job, top_record))
+
+    def score_and_promotions(result):
+        return result.score, result.telemetry["counters"]["jit.promotions"]
+
+    expected = score_and_promotions(execute_job(snapshot.fork(), job, top_record))
+    monkeypatch.setattr(jit_mod, "PROMOTED", set())
     monkeypatch.setattr(jit_mod, "_TRANSLATIONS", {})
     forks = [snapshot.fork() for _ in range(4)]
     results = [None] * len(forks)
 
     def work(i):
-        results[i] = _score_and_jit_counters(execute_job(forks[i], job, top_record))
+        results[i] = score_and_promotions(execute_job(forks[i], job, top_record))
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(len(forks))]
     interval = sys.getswitchinterval()

@@ -86,6 +86,23 @@ class TestEpt:
         assert ept.translate_frame(1) == 1
         assert ept.overridden_gpfns() == []
 
+    def test_batch_bumps_each_touched_table_once(self):
+        """One epoch bump per changed level-2 table and batch: a cached
+        translation in a touched table goes stale, one in an untouched
+        table stays valid, and no-op remaps bump nothing."""
+        ept = ExtendedPageTable()
+        low, high, other = ept.epoch_cell(1), ept.epoch_cell(1024), ept.epoch_cell(5000)
+        seen = (low[0], high[0], other[0])
+        ept.map_frames([(1, 101), (2, 102), (3, 103), (1024, 7), (1025, 8)])
+        assert (low[0], high[0], other[0]) == (seen[0] + 1, seen[1] + 1, seen[2])
+        ept.map_frames([(1, 101), (1024, 7)])  # no-op remaps
+        assert (low[0], high[0]) == (seen[0] + 1, seen[1] + 1)
+        ept.unmap_frames([1, 2, 3, 9])  # 9 was never overridden
+        assert (low[0], high[0], other[0]) == (seen[0] + 2, seen[1] + 1, seen[2])
+        ept.unmap_frames([1, 2])  # nothing left to remove
+        assert low[0] == seen[0] + 2
+        assert ept.overridden_gpfns() == [1024, 1025]
+
     def test_overridden_gpfns_sorted(self):
         ept = ExtendedPageTable()
         ept.map_frames([(9, 1), (3, 2), (5000, 3)])

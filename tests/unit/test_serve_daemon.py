@@ -320,6 +320,56 @@ def test_client_unreachable_raises(tmp_path):
             client.ping()
 
 
+def test_client_closes_its_reader_on_every_path(tmp_path, monkeypatch):
+    """A rejected submission and a watch that ends with the daemon close
+    the socket's reader along with the socket: the descriptor is closed
+    when the call returns, even while a traceback keeps the request's
+    frame alive, and nothing is left for the collector to find."""
+    from repro.serve import protocol
+
+    sock = str(tmp_path / "serve.sock")
+    daemon = ServeDaemon(
+        ProfileLibrary(str(tmp_path / "lib")),
+        socket_path=sock,
+        auto_profile=True,
+        executor=_result,
+        warm_target=0,
+    )
+    daemon.start()
+    client = ServeClient(sock)
+    opened = []
+    connect = protocol.connect
+
+    def recording(*args, **kwargs):
+        opened.append(connect(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(protocol, "connect", recording)
+
+    def stop_when_watched():
+        deadline = time.monotonic() + 5.0
+        while not daemon._subscribers and time.monotonic() < deadline:
+            time.sleep(0.01)
+        daemon.shutdown(drain=True, timeout=10.0)
+
+    stopper = threading.Thread(target=stop_when_watched, daemon=True)
+    try:
+        with _no_resource_warnings():
+            with pytest.raises(SubmissionRejected) as err:
+                client.submit("nosuchapp")
+            assert err.value.reason == "bad-request"
+            assert [s.fileno() for s in opened] == [-1]
+            del err
+        with _no_resource_warnings():
+            stopper.start()
+            kinds = [event["type"] for event in client.watch()]
+            stopper.join(timeout=10.0)
+            assert [s.fileno() for s in opened] == [-1, -1]
+        assert "serve-stopped" in kinds
+    finally:
+        daemon.shutdown(timeout=5.0)
+
+
 # ---------------------------------------------------------------------------
 # service metrics: sampling, alerts, scrape surfaces
 # ---------------------------------------------------------------------------
@@ -503,6 +553,7 @@ def test_metrics_http_listener_serves_scrapes(tmp_path):
         with pytest.raises(urllib.error.HTTPError) as err:
             urllib.request.urlopen(f"{base}/nope", timeout=5)
         assert err.value.code == 404
+        err.value.close()  # the error is the response: it holds the socket
     finally:
         daemon.shutdown(timeout=5.0)
 

@@ -67,6 +67,7 @@ def test_delivers_alert_payloads_as_json():
         hook.stop()
     finally:
         server.shutdown()
+        server.server_close()
 
 
 def test_retries_through_transient_failures():
@@ -83,6 +84,7 @@ def test_retries_through_transient_failures():
     finally:
         _Receiver.fail_first = 0
         server.shutdown()
+        server.server_close()
 
 
 def test_terminal_failure_counts_webhook_errors():
