@@ -142,6 +142,13 @@ class LiveFleetView:
             )
             self.notices.append(notice)
             return [notice]
+        if kind == "serve-spawner-exited":
+            notice = (
+                f"[serve] worker spawner pid {message.get('pid', '?')} "
+                "exited: no worker process can be added or replaced"
+            )
+            self.notices.append(notice)
+            return [notice]
         name = message.get("job", "?")
         status = self.expect(name, app=message.get("app", ""))
         notices: List[str] = []

@@ -40,7 +40,7 @@ import queue as queue_mod
 import threading
 import time
 import traceback
-from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.fleet.jobs import JobAborted, JobResult, execute_job, prepare_offline_phase
 from repro.fleet.library import ProfileLibrary, ProfileRecord
@@ -73,12 +73,16 @@ from repro.telemetry.merge import empty_merge, merge_into
 #: tenant budget while it waits for the worker process's next message.
 _POLL_SECONDS = 0.05
 
+#: How often the supervisor sizes the worker pool to queue pressure.
+_SCALE_SECONDS = 0.05
+
 #: A worker process that sends nothing for its job's ``timeout`` plus
 #: this many seconds is killed (it checks the timeout itself at every
 #: progress step, so only a wedged process gets this far).
 _WORKER_GRACE_SECONDS = 10.0
 
-#: Per-variant pool counts that accumulate over a worker's life.
+#: Per-variant pool counts that accumulate over the daemon's life; all
+#: but ``forked`` are also ``serve.pool.*`` counters.
 _POOL_TOTALS = ("forked", "hits", "misses", "refills")
 
 #: Lifecycle events retained for late ``watch`` subscribers (journal
@@ -162,14 +166,11 @@ class ServeDaemon:
         max_workers: int = 4,
         max_queue_depth: int = 64,
         default_policy: Optional[TenantPolicy] = None,
-        policies: Optional[Dict[str, TenantPolicy]] = None,
         warm_target: int = 2,
         base_seed: int = DEFAULT_SEED,
         heartbeat_interval: float = 0.25,
         auto_profile: bool = False,
         profile_scale: int = 4,
-        executor: Optional[Callable[[QueuedJob], Any]] = None,
-        scale_interval: float = 0.05,
         metrics_interval: Optional[float] = 1.0,
         metrics_addr: Optional[str] = None,
         slo_latency: Optional[float] = None,
@@ -197,22 +198,19 @@ class ServeDaemon:
         self.heartbeat_interval = heartbeat_interval
         self.auto_profile = auto_profile
         self.profile_scale = profile_scale
-        self.scale_interval = scale_interval
         #: the daemon's own registry: serve.* control-plane counters
         self.telemetry = Telemetry()
         self.queue = JobQueue(
             max_depth=max_queue_depth,
             default_policy=default_policy,
-            policies=policies,
             telemetry=self.telemetry,
         )
         #: the snapshots and warm clones every worker process inherits;
         #: the workers' own pools report through :meth:`pool_stats`
         self.pool = WarmPool(warm_target=warm_target)
-        #: runs jobs in the worker thread itself (tests' fake executors);
-        #: without one, jobs run in worker processes
-        self._executor = executor
         self._spawner: Optional[Spawner] = None
+        #: set once a spawn finds the spawner gone (under ``_workers_lock``)
+        self._spawner_exited = False
         self._records: Dict[Any, ProfileRecord] = {}
         self._records_lock = threading.Lock()
         #: one lock per (app, build) being loaded or profiled
@@ -258,8 +256,9 @@ class ServeDaemon:
         # worker pool: one thread per slot, each driving one process
         self._workers: Dict[int, threading.Thread] = {}
         self._procs: Dict[int, WorkerProcess] = {}
-        #: pool totals of the start-up fill and of exited worker processes
-        self._retired_pool: Dict[str, Dict[str, Any]] = {}
+        #: per-variant pool counts: the start-up fill plus every change
+        #: the worker processes have reported
+        self._pool_totals: Dict[str, Dict[str, Any]] = {}
         self._workers_lock = threading.Lock()
         self._desired_workers = min_workers
         self._stop_workers = threading.Event()
@@ -334,21 +333,18 @@ class ServeDaemon:
             self.pool.ensure(config)
         self.pool.refill()
         # the start-up fill counts here, once: each worker process
-        # inherits it and counts only its own work from zero
-        startup = self.pool.stats()
-        with self._workers_lock:
-            self._retire_pool(startup)
-        self._count_pool({}, startup)
-        if self._executor is None:
-            self._spawner = Spawner(
-                functools.partial(
-                    serve_jobs,
-                    pool=self.pool,
-                    base_seed=self.base_seed,
-                    heartbeat_interval=self.heartbeat_interval,
-                    execute=execute_job,
-                )
+        # inherits it and counts only its own work from zero (no other
+        # thread exists yet, so no lock)
+        self._count_pool({}, self.pool.stats())
+        self._spawner = Spawner(
+            functools.partial(
+                serve_jobs,
+                pool=self.pool,
+                base_seed=self.base_seed,
+                heartbeat_interval=self.heartbeat_interval,
+                execute=execute_job,
             )
+        )
         if self.alert_webhook_url:
             self._webhook = AlertWebhook(
                 self.alert_webhook_url, telemetry=self.telemetry
@@ -629,50 +625,42 @@ class ServeDaemon:
                 wid for wid, t in self._workers.items() if t.is_alive()
             }
             for wid in range(desired):
-                if wid not in alive:
-                    worker = None
-                    if self._spawner is not None:
-                        worker = self._procs[wid] = self._spawner.spawn(wid)
-                    thread = threading.Thread(
-                        target=self._worker_loop,
-                        args=(wid, worker),
-                        name=f"serve-worker-{wid}",
-                        daemon=True,
-                    )
-                    self._workers[wid] = thread
-                    thread.start()
-                    self.telemetry.counter("serve.workers.spawned").inc()
+                if wid in alive:
+                    continue
+                worker = self._spawn(wid)
+                if worker is None:
+                    return  # the spawner is gone: no slot without a process
+                thread = threading.Thread(
+                    target=self._worker_loop,
+                    args=(wid, worker),
+                    name=f"serve-worker-{wid}",
+                    daemon=True,
+                )
+                self._workers[wid] = thread
+                thread.start()
+                self.telemetry.counter("serve.workers.spawned").inc()
 
     def _supervise(self) -> None:
         """Autoscale between bounds by queue pressure."""
         while not self._stop_workers.is_set():
             pressure = self.queue.pressure()
             desired = min(self.max_workers, max(self.min_workers, pressure))
-            if desired > self._desired_workers:
-                self._scale_to(desired)
+            if desired != self._desired_workers:
+                if desired > self._desired_workers:
+                    self._scale_to(desired)
+                else:
+                    # shrink lazily: idle workers with ids past the target
+                    # retire themselves on their next queue timeout
+                    self._desired_workers = desired
                 self._emit(
-                    {
-                        "type": "scaled",
-                        "workers": desired,
-                        "pressure": pressure,
-                    }
+                    {"type": "scaled", "workers": desired, "pressure": pressure}
                 )
-            elif desired < self._desired_workers:
-                # shrink lazily: idle workers with ids past the target
-                # retire themselves on their next queue timeout
-                self._desired_workers = desired
-                self._emit(
-                    {
-                        "type": "scaled",
-                        "workers": desired,
-                        "pressure": pressure,
-                    }
-                )
-            self._stop_workers.wait(timeout=self.scale_interval)
+            self._stop_workers.wait(timeout=_SCALE_SECONDS)
 
     def worker_count(self) -> int:
+        """Live worker processes."""
         with self._workers_lock:
-            return sum(1 for t in self._workers.values() if t.is_alive())
+            return len(self._procs)
 
     def worker_pids(self) -> List[int]:
         """Pids of the live worker processes, by slot."""
@@ -683,35 +671,46 @@ class ServeDaemon:
         self, worker_id: int, worker: Optional[WorkerProcess]
     ) -> None:
         try:
-            while True:
-                if self._stop_workers.is_set():
-                    break
+            while not self._stop_workers.is_set():
                 if worker_id >= self._desired_workers:
                     # scaled down: retire only while idle
                     with self._workers_lock:
                         self._workers.pop(worker_id, None)
                     self.telemetry.counter("serve.workers.retired").inc()
                     break
-                if self._spawner is not None:
-                    try:
-                        worker = self._tend(worker_id, worker)
-                    except OSError:  # the spawner is gone: _drive fails jobs
-                        worker = None
+                worker = self._tend(worker_id, worker)
                 job = self.queue.next_job(timeout=0.05)
-                if job is None:
-                    continue
-                self._run_one(job, worker)
+                if job is not None:
+                    self._run_one(job, worker)
         finally:
             if worker is not None and not worker.conn.closed:
                 self._release(worker)
 
     # -- worker processes --------------------------------------------------------
 
+    def _spawn(self, slot: int) -> Optional[WorkerProcess]:
+        """Fork and register a worker process for ``slot``; None once the
+        spawner has exited, which the first failed spawn announces with a
+        ``serve-spawner-exited`` event.  The caller holds
+        ``_workers_lock``."""
+        if self._spawner_exited:
+            return None
+        try:
+            worker = self._procs[slot] = self._spawner.spawn(slot)
+            return worker
+        except OSError:
+            self._spawner_exited = True
+            self._emit(
+                {"type": "serve-spawner-exited", "pid": self._spawner.pid}
+            )
+            return None
+
     def _tend(
         self, slot: int, worker: Optional[WorkerProcess]
-    ) -> WorkerProcess:
+    ) -> Optional[WorkerProcess]:
         """The slot's worker process, ready for a job: its pool reports
-        read, and a new process forked if it died or never started."""
+        read, and a new process forked if it died (None once the spawner
+        has exited)."""
         if worker is not None and not worker.conn.closed:
             try:
                 while worker.conn.poll():
@@ -719,40 +718,33 @@ class ServeDaemon:
             except (EOFError, OSError):
                 self._release(worker)  # died while idle: no job to fail
         if worker is None or worker.conn.closed:
-            worker = self._spawner.spawn(slot)
             with self._workers_lock:
-                self._procs[slot] = worker
+                worker = self._spawn(slot)
         return worker
 
     def _release(self, worker: WorkerProcess) -> Optional[int]:
-        """Stop and reap ``worker``, keep its pool totals; its wait status."""
+        """Stop and reap ``worker``; its wait status."""
         with self._workers_lock:
             if self._procs.get(worker.slot) is worker:
                 del self._procs[worker.slot]
-            self._retire_pool(worker.pool)
-            worker.pool = {}
         worker.conn.close()
         return self._spawner.stop(worker.pid)
-
-    def _retire_pool(self, stats: Dict[str, Any]) -> None:
-        """Add a pool report's totals to those kept beside the live
-        workers' (the caller holds ``_workers_lock``)."""
-        for digest, entry in stats.items():
-            into = self._retired_pool.setdefault(
-                digest, {"label": entry["label"]}
-            )
-            for key in _POOL_TOTALS:
-                into[key] = into.get(key, 0) + entry[key]
 
     def _count_pool(
         self, before: Dict[str, Any], after: Dict[str, Any]
     ) -> None:
-        """Count what changed between two pool reports."""
+        """Add what changed between two pool reports to the totals and
+        to the ``serve.pool.*`` counters."""
         for digest, entry in after.items():
             old = before.get(digest, {})
-            for key in ("hits", "misses", "refills"):
+            totals = self._pool_totals.setdefault(
+                digest,
+                {"label": entry["label"], **dict.fromkeys(_POOL_TOTALS, 0)},
+            )
+            for key in _POOL_TOTALS:
                 delta = entry[key] - old.get(key, 0)
-                if delta:
+                totals[key] += delta
+                if delta and key != "forked":
                     self.telemetry.labelled_counter(
                         f"serve.pool.{key}"
                     ).inc(digest, delta)
@@ -764,24 +756,21 @@ class ServeDaemon:
             self._count_pool(before, stats)
 
     def pool_stats(self) -> Dict[str, Dict[str, Any]]:
-        """Per-variant pool stats summed over the worker processes, with
-        the daemon's start-up fill and the running totals of the worker
-        processes that have exited."""
+        """Per-variant pool stats: the totals since start-up, and the warm
+        clones and targets of the live worker processes."""
         with self._workers_lock:
-            sources = [self._retired_pool] + [
-                w.pool for w in self._procs.values()
-            ]
-            merged: Dict[str, Dict[str, Any]] = {}
-            for stats in sources:
-                for digest, entry in stats.items():
-                    into = merged.setdefault(
-                        digest,
-                        {"label": entry["label"], "warm": 0, "target": 0,
-                         **{key: 0 for key in _POOL_TOTALS}},
-                    )
-                    for key in ("warm", "target", *_POOL_TOTALS):
-                        into[key] += entry.get(key, 0)
-        return {digest: merged[digest] for digest in sorted(merged)}
+            merged = {
+                digest: {
+                    "label": totals["label"], "warm": 0, "target": 0,
+                    **{key: totals[key] for key in _POOL_TOTALS},
+                }
+                for digest, totals in sorted(self._pool_totals.items())
+            }
+            for worker in self._procs.values():
+                for digest, entry in worker.pool.items():
+                    merged[digest]["warm"] += entry["warm"]
+                    merged[digest]["target"] += entry["target"]
+        return merged
 
     # -- job execution -----------------------------------------------------------
 
@@ -936,7 +925,7 @@ class ServeDaemon:
                     self.telemetry.counter("serve.obs.errors").inc()
 
     def _run_one(
-        self, qjob: QueuedJob, worker: Optional[WorkerProcess] = None
+        self, qjob: QueuedJob, worker: Optional[WorkerProcess]
     ) -> None:
         job = qjob.job
         name = job.name or job.identity()
@@ -951,10 +940,7 @@ class ServeDaemon:
             }
         )
         try:
-            if self._executor is not None:
-                result = self._executor(qjob)
-            else:
-                result = self._drive(worker, qjob)
+            result = self._drive(worker, qjob)
         except JobAborted as abort:
             state = "cancelled" if abort.reason == "cancelled" else "failed"
             error = abort.detail or _ABORT_ERRORS[abort.reason]
@@ -1042,7 +1028,10 @@ class ServeDaemon:
                 "min": self.min_workers,
                 "max": self.max_workers,
                 "pids": self.worker_pids(),
-                "spawner": self._spawner.pid if self._spawner else None,
+                "spawner": (
+                    None if self._spawner is None or self._spawner_exited
+                    else self._spawner.pid
+                ),
             },
             "serve": telemetry_snapshot(self.telemetry, events=False),
             "jobs_telemetry": lifetime,

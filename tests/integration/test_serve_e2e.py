@@ -1,7 +1,7 @@
 """Serve daemon end-to-end: real guests, bit-identity with the batch fleet.
 
-The control plane is unit-tested with fake executors in
-``tests/unit/test_serve_daemon.py``; here jobs really boot, fork and
+The control plane is unit-tested in ``tests/unit/test_serve_daemon.py``
+with fake jobs in the worker processes; here jobs really boot, fork and
 run, and the headline invariant is enforced: a job submitted to the
 daemon produces **exactly** the virtual-cycle score (cycles, syscalls)
 that the same job produces in a ``repro fleet`` batch run.

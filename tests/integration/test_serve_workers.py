@@ -1,11 +1,16 @@
 """Serve worker processes: crash, cancel, shutdown and daemon-death outcomes.
 
-Each test runs real guests in real worker processes and checks one
-defined host-side outcome: a SIGKILLed worker fails exactly its job,
-jobs that no worker can run once the spawner is gone fail by name, a
-cancelled running job is charged what it consumed, a shutdown or a
-SIGKILLed daemon leaves no worker or spawner behind, and one app's
-offline profile never stalls another app's jobs.
+Each test runs real worker processes and checks one defined host-side
+outcome (the rows of SERVICE.md's "Job outcomes on the process path"):
+a SIGKILLed worker fails exactly its job, a worker that falls silent is
+killed and replaced, jobs that no worker can run once the spawner is
+gone fail by name, a spawner that dies before a scale-up leaves the
+supervisor and the surviving workers serving, an idle extra worker is
+retired and reaped, a cancelled running job is charged what it
+consumed, a shutdown or a SIGKILLed daemon leaves no worker or spawner
+behind, and one app's offline profile never stalls another app's jobs.
+Some tests patch :func:`repro.serve.daemon.execute_job` before
+``start()`` so that the workers hold or wedge a job on cue.
 """
 
 import os
@@ -21,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.fleet import ProfileLibrary, prepare_offline_phase
-from repro.fleet.jobs import run_job_on_fresh_machine
+from repro.fleet.jobs import execute_job, run_job_on_fresh_machine
 from repro.fleet.spec import FleetJob
 from repro.serve import ServeClient, ServeDaemon
 
@@ -64,6 +69,21 @@ def _mid_run(sink, job_id):
 def _charged(daemon):
     tenants = daemon.queue.describe()["tenants"]
     return tenants.get("default", {}).get("charged_cycles", 0)
+
+
+def _held(release):
+    """An ``execute_job`` that holds each job, still checking for cancel,
+    budget and timeout, until ``release`` exists, then runs it."""
+
+    def held(machine, job, record, base_seed=0, progress=None):
+        while not release.exists():
+            progress(machine, None)
+            time.sleep(0.005)
+        return execute_job(
+            machine, job, record, base_seed=base_seed, progress=progress
+        )
+
+    return held
 
 
 def _busy_daemon(library):
@@ -168,7 +188,132 @@ def test_jobs_fail_by_name_once_the_spawner_is_gone(library, monkeypatch):
                 "WorkerCrashed: the worker spawner has exited, so no "
                 "worker process can run the job"
             )
+        kinds = [e["type"] for e in daemon._events]
+        assert kinds.count("serve-spawner-exited") == 1
+        workers = daemon.stats()["workers"]
+        assert workers["spawner"] is None and workers["alive"] == 0
     finally:
+        daemon.shutdown(timeout=30.0)
+
+
+def test_silent_worker_is_killed_charged_and_replaced(library, monkeypatch):
+    """A worker that stops reporting mid-job is SIGKILLed once it has
+    been silent for the job's timeout plus the grace; the job is charged
+    its last heartbeat's cycles and a replacement runs the next job."""
+    import repro.serve.daemon as daemon_mod
+
+    def wedged(machine, job, record, base_seed=0, progress=None):
+        if job.app != "bash":
+            return execute_job(
+                machine, job, record, base_seed=base_seed, progress=progress
+            )
+        machine.vcpu.cycles += 77
+        time.sleep(0.05)
+        progress(machine, None)  # the last heartbeat: 77 cycles consumed
+        time.sleep(3600)
+
+    monkeypatch.setattr(daemon_mod, "execute_job", wedged)
+    monkeypatch.setattr(daemon_mod, "_WORKER_GRACE_SECONDS", 0.2)
+    daemon = ServeDaemon(
+        library, min_workers=1, max_workers=1, warm_target=0,
+        heartbeat_interval=0.01,
+    )
+    daemon.start()
+    try:
+        (pid,) = daemon.stats()["workers"]["pids"]
+        qjob = daemon.submit({"app": "bash", "scale": 1, "timeout": 0.3})
+        done = daemon.queue.wait_terminal(qjob.id, timeout=30.0)
+        assert done.state == "failed"
+        assert re.fullmatch(
+            rf"TimeoutError: worker pid {pid} sent nothing for \d+\.\ds "
+            r"and was killed by SIGKILL",
+            done.error,
+        ), done.error
+        assert any(
+            e["type"] == "heartbeat" and e["id"] == qjob.id
+            for e in daemon._events
+        )
+        assert _charged(daemon) == 77
+        after = daemon.submit({"app": "top", "scale": 1})
+        done = daemon.queue.wait_terminal(after.id, timeout=60.0)
+        assert done.state == "done", done.error
+        (replacement,) = daemon.stats()["workers"]["pids"]
+        assert replacement != pid
+        assert not _running(pid)
+    finally:
+        daemon.shutdown(timeout=30.0)
+
+
+def test_spawner_death_before_a_scale_up_keeps_the_daemon_serving(
+    library, monkeypatch, tmp_path
+):
+    """SIGKILL the spawner of an idle daemon, then let six jobs ask for a
+    second worker: the supervisor survives and starts no slot it cannot
+    give a process, the dead spawner is named once, and every job ends
+    done on the surviving worker."""
+    import repro.serve.daemon as daemon_mod
+
+    from repro.obs.store import read_archive
+
+    release, obs = tmp_path / "release", tmp_path / "obs"
+    monkeypatch.setattr(daemon_mod, "execute_job", _held(release))
+    daemon = ServeDaemon(
+        library, min_workers=1, max_workers=2, warm_target=0,
+        obs_dir=str(obs),
+    )
+    daemon.start()
+
+    def exits():
+        return [e for e in daemon._events if e["type"] == "serve-spawner-exited"]
+
+    try:
+        workers = daemon.stats()["workers"]
+        os.kill(workers["spawner"], signal.SIGKILL)
+        queued = [daemon.submit({"app": "top", "scale": 1}) for _ in range(6)]
+        _until(lambda: exits() or not daemon._supervisor.is_alive())
+        release.touch()
+        done = [daemon.queue.wait_terminal(q.id, timeout=60.0) for q in queued]
+        assert [d.state if d else None for d in done] == ["done"] * 6
+        assert daemon._supervisor.is_alive()
+        assert [e["pid"] for e in exits()] == [workers["spawner"]]
+        after = daemon.stats()["workers"]
+        assert after["spawner"] is None
+        assert after["alive"] == 1
+        assert after["pids"] == workers["pids"]
+    finally:
+        release.touch()
+        daemon.shutdown(timeout=30.0)
+    archived = [e["event"]["type"] for e in read_archive(obs).events]
+    assert archived.count("serve-spawner-exited") == 1
+
+
+def test_idle_scale_down_retires_and_reaps_the_extra_worker(
+    library, monkeypatch, tmp_path
+):
+    """Queue pressure grows the pool to two workers; once idle, slot 1
+    retires and its process is stopped and reaped."""
+    import repro.serve.daemon as daemon_mod
+
+    release = tmp_path / "release"
+    monkeypatch.setattr(daemon_mod, "execute_job", _held(release))
+    daemon = ServeDaemon(library, min_workers=1, max_workers=2, warm_target=0)
+    daemon.start()
+    try:
+        queued = [daemon.submit({"app": "top", "scale": 1}) for _ in range(3)]
+        _until(lambda: daemon.worker_count() == 2)
+        _, extra = daemon.stats()["workers"]["pids"]
+        release.touch()
+        for qjob in queued:
+            done = daemon.queue.wait_terminal(qjob.id, timeout=60.0)
+            assert done.state == "done", done.error
+        _until(lambda: daemon.worker_count() == 1)
+        assert list(daemon._workers) == [0]
+        _until(lambda: not os.path.exists(f"/proc/{extra}"))
+        assert daemon.telemetry.counter("serve.workers.retired").value == 1
+        scaled = [e["workers"] for e in daemon._events if e["type"] == "scaled"]
+        assert scaled == [2, 1]
+    finally:
+        release.touch()
         daemon.shutdown(timeout=30.0)
 
 

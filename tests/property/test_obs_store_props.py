@@ -107,6 +107,7 @@ def test_torn_tail_loses_at_most_the_final_record(
     keep = 1 + (cut % line_len)
     segment.write_bytes(raw[: last_nl + 1 + keep])
     archive = read_archive(root)
+    store.close()  # only after the read, which saw no footer
     assert archive.torn_segments == 1
     assert archive.sample_count() >= len(stream) - 1
     # everything before the tear replays exactly

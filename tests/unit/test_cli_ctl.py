@@ -2,8 +2,9 @@
 
 Client-side failures -- daemon unreachable, unknown job id, rejected
 submission -- must return non-zero with an ``error:`` line on stderr;
-a daemon-reported failed job returns 1.  The daemon behind these tests
-uses a fake executor, so they stay fast.
+a daemon-reported failed job returns 1.  The worker processes of the
+daemon behind these tests run a fake ``execute_job``, patched into
+:mod:`repro.serve.daemon` before ``start()``, so they stay fast.
 """
 
 import threading
@@ -11,29 +12,28 @@ import time
 
 import pytest
 
+import repro.serve.daemon as daemon_mod
 from repro.cli import main
-from repro.fleet import ProfileLibrary
 from repro.fleet.jobs import JobResult
 from repro.serve import ServeDaemon
 
 
 @pytest.fixture()
-def live_daemon(tmp_path):
-    def executor(qjob):
+def live_daemon(serve_library, monkeypatch, tmp_path):
+    def fake(machine, job, record, base_seed=0, progress=None):
         time.sleep(0.01)
-        ok = qjob.job.app != "gzip"  # gzip jobs "fail" for the exit-1 case
+        ok = job.app != "gzip"  # gzip jobs "fail" for the exit-1 case
         return JobResult(
-            name=qjob.job.name, app=qjob.job.app, ok=ok,
+            name=job.name, app=job.app, ok=ok,
             cycles=1000, syscalls=5, job_cycles=1000,
             error="" if ok else "workload crashed",
         )
 
+    monkeypatch.setattr(daemon_mod, "execute_job", fake)
     sock = str(tmp_path / "serve.sock")
     daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+        serve_library,
         socket_path=sock,
-        auto_profile=True,
-        executor=executor,
         max_queue_depth=64,
         warm_target=0,
     )
@@ -156,20 +156,19 @@ def test_ctl_top_once_renders_frame(live_daemon, capsys):
     assert "\x1b[2J" not in out  # --once never clears the screen
 
 
-def test_ctl_shutdown_drains(tmp_path, capsys):
-    def executor(qjob):
+def test_ctl_shutdown_drains(serve_library, monkeypatch, tmp_path, capsys):
+    def fake(machine, job, record, base_seed=0, progress=None):
         time.sleep(0.01)
         return JobResult(
-            name=qjob.job.name, app=qjob.job.app, ok=True,
+            name=job.name, app=job.app, ok=True,
             cycles=1, syscalls=1, job_cycles=1,
         )
 
+    monkeypatch.setattr(daemon_mod, "execute_job", fake)
     sock = str(tmp_path / "serve.sock")
     daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+        serve_library,
         socket_path=sock,
-        auto_profile=True,
-        executor=executor,
         warm_target=0,
     )
     daemon.start()

@@ -43,6 +43,8 @@ def test_file_journal_does_not_buffer_unless_asked(tmp_path):
     kept = Journal(path=tmp_path / "kept.jsonl", keep=True)
     kept.append("span", id=1)
     assert len(kept.records()) == 1
+    journal.close()
+    kept.close()
 
 
 def test_bounded_buffer_counts_every_eviction():

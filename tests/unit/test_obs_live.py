@@ -225,6 +225,16 @@ def test_serve_lifecycle_events_are_notices_only():
     assert view.jobs == {}
 
 
+def test_spawner_exit_is_a_notice_not_a_job_row():
+    view = LiveFleetView()
+    notices = view.update({"type": "serve-spawner-exited", "pid": 42}, now=0.0)
+    assert notices == [
+        "[serve] worker spawner pid 42 exited: no worker process can be "
+        "added or replaced"
+    ]
+    assert view.jobs == {}
+
+
 # ---------------------------------------------------------------------------
 # the ctl top frame (pure formatter over the metrics op response)
 # ---------------------------------------------------------------------------

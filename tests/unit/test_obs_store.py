@@ -193,6 +193,7 @@ def test_torn_tail_recovers_records_before_the_tear(tmp_path):
     segment = next((tmp_path / "obs" / "segments").iterdir())
     _truncate_last_line(segment)
     archive = read_archive(tmp_path / "obs")
+    store.close()  # only after the read, which saw no footer
     assert archive.torn_segments == 1
     assert archive.sample_count() == 9  # everything before the tear
     expected = SeriesBank()
@@ -212,6 +213,7 @@ def test_garbage_line_counts_as_torn_not_fatal(tmp_path):
     with open(segment, "a", encoding="utf-8") as fh:
         fh.write("{this is not json\n")
     archive = read_archive(tmp_path / "obs")
+    store.close()  # only after the read, which saw no footer
     assert archive.torn_segments == 1
     assert len(archive.events) == 1
 
@@ -312,6 +314,7 @@ def test_trace_journal_torn_tail_recovers(tmp_path):
     _truncate_last_line(path)
     store.close()
     meta, records, torn = read_trace_journal(tmp_path / "obs", "tearme")
+    writer.close()  # only after the read, which saw no footer
     assert torn is True
     assert meta["job"] == "job-2"
     assert len(records) == 3

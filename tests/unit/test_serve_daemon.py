@@ -1,10 +1,15 @@
 """Serve daemon: workers, cancel/budget aborts, drain, control socket.
 
-Everything here runs against a **fake executor** so the daemon's
-control plane (queue, events, workers, socket) is exercised without
-booting guests; the real execution path (and its bit-identity with the
-batch fleet) is covered by ``tests/integration/test_serve_e2e.py`` and
-the ``serve`` scenario of ``benchmarks/gates.py``.
+Every job here runs in a real worker process, through a **fake
+``execute_job``** patched into :mod:`repro.serve.daemon` before
+``start()`` forks the spawner.  The fakes boot no guest, so the
+daemon's control plane (queue, events, workers, socket) is exercised in
+milliseconds per job.  They signal the test across the process
+boundary with files under ``tmp_path``, and a running fake sees cancel,
+budget and timeout through ``progress``, as a real job does.  The real
+execution path (and its bit-identity with the batch fleet) is covered
+by ``tests/integration/test_serve_e2e.py`` and the ``serve`` scenario
+of ``benchmarks/gates.py``.
 """
 
 import contextlib
@@ -16,6 +21,7 @@ import warnings
 
 import pytest
 
+import repro.serve.daemon as daemon_mod
 from repro.fleet import ProfileLibrary
 from repro.fleet.jobs import JobResult
 from repro.serve import (
@@ -31,12 +37,12 @@ from repro.serve.queue import REASON_NO_PROFILE, REASON_TENANT_BUDGET
 from repro.telemetry import Telemetry, snapshot
 
 
-def _result(qjob, cycles=1000):
+def _result(job, cycles=1000):
     registry = Telemetry()
     registry.counter("hv.exits").inc(7)
     return JobResult(
-        name=qjob.job.name,
-        app=qjob.job.app,
+        name=job.name,
+        app=job.app,
         ok=True,
         cycles=cycles,
         syscalls=5,
@@ -45,16 +51,42 @@ def _result(qjob, cycles=1000):
     )
 
 
-def _daemon(tmp_path, executor, workers=1, **kw):
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
-        auto_profile=True,
-        executor=executor,
-        min_workers=1,
-        max_workers=max(1, workers),
-        **kw,
-    )
-    daemon._scale_to(workers)
+def _finishes(machine, job, record, base_seed=0, progress=None):
+    """A fake job that finishes at once."""
+    return _result(job)
+
+
+def _blocking(signals):
+    """A fake job that reports 123 consumed cycles, touches
+    ``signals/started`` and runs until ``signals/release`` exists."""
+
+    def fake(machine, job, record, base_seed=0, progress=None):
+        machine.vcpu.cycles += 123
+        (signals / "started").touch()
+        while not (signals / "release").exists():
+            progress(machine, None)  # raises JobAborted on a cancel
+            time.sleep(0.005)
+        return _result(job)
+
+    return fake
+
+
+def _exists(path, timeout=5.0):
+    """Wait for ``path`` to appear; False after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    while not path.exists():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
+
+
+def _daemon(library, monkeypatch, fake, **kw):
+    """A started daemon (one worker unless ``kw`` says otherwise) whose
+    worker processes run ``fake`` as ``execute_job``."""
+    monkeypatch.setattr(daemon_mod, "execute_job", fake)
+    daemon = ServeDaemon(library, **{"max_workers": 1, **kw})
+    daemon.start()
     return daemon
 
 
@@ -81,8 +113,8 @@ def _no_resource_warnings():
 # ---------------------------------------------------------------------------
 
 
-def test_submit_runs_and_merges_lifetime_telemetry(tmp_path):
-    daemon = _daemon(tmp_path, _result)
+def test_submit_runs_and_merges_lifetime_telemetry(serve_library, monkeypatch):
+    daemon = _daemon(serve_library, monkeypatch, _finishes)
     try:
         first = daemon.submit({"app": "top", "scale": 1})
         second = daemon.submit({"app": "top", "scale": 1})
@@ -100,8 +132,8 @@ def test_submit_runs_and_merges_lifetime_telemetry(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
-def test_submit_validates_app_attack_guest(tmp_path):
-    daemon = _daemon(tmp_path, _result, workers=0)
+def test_submit_validates_app_attack_guest(serve_library):
+    daemon = ServeDaemon(serve_library)  # never started: nothing is queued
     try:
         with pytest.raises(ValueError, match="unknown application"):
             daemon.submit({"app": "nosuch"})
@@ -120,24 +152,14 @@ def test_submit_validates_app_attack_guest(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _blocking_executor(release, started):
-    def executor(qjob):
-        started.set()
-        while not release.is_set():
-            if qjob.cancel_requested:
-                raise JobAborted("cancelled", 123)
-            time.sleep(0.005)
-        return _result(qjob)
-
-    return executor
-
-
-def test_cancel_running_job_aborts_and_charges(tmp_path):
-    release, started = threading.Event(), threading.Event()
-    daemon = _daemon(tmp_path, _blocking_executor(release, started))
+def test_cancel_running_job_aborts_and_charges(
+    serve_library, monkeypatch, tmp_path
+):
+    release, started = tmp_path / "release", tmp_path / "started"
+    daemon = _daemon(serve_library, monkeypatch, _blocking(tmp_path))
     try:
         qjob = daemon.submit({"app": "top", "scale": 1})
-        assert started.wait(timeout=5.0)
+        assert _exists(started)
         assert daemon.queue.cancel(qjob.id) == "cancel-requested"
         done = daemon.queue.wait_terminal(qjob.id, timeout=5.0)
         assert done.state == "cancelled"
@@ -146,18 +168,21 @@ def test_cancel_running_job_aborts_and_charges(tmp_path):
         assert tenants["default"]["charged_cycles"] == 123
         assert _events(daemon, "cancelled")
     finally:
-        release.set()
+        release.touch()
         daemon.shutdown(timeout=5.0)
 
 
-def test_budget_exhaustion_mid_job_fails_and_blocks_tenant(tmp_path):
+def test_budget_exhaustion_mid_job_fails_and_blocks_tenant(
+    serve_library, monkeypatch
+):
     consumed = 750
 
-    def executor(qjob):
+    def fake(machine, job, record, base_seed=0, progress=None):
+        # what the worker's progress check raises past the budget
         raise JobAborted("tenant-budget", consumed)
 
     daemon = _daemon(
-        tmp_path, executor,
+        serve_library, monkeypatch, fake,
         default_policy=TenantPolicy(cycle_budget=1000),
     )
     try:
@@ -201,12 +226,12 @@ def test_no_profile_rejection_without_auto_profile(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_graceful_shutdown_drains_every_queued_job(tmp_path):
-    def executor(qjob):
+def test_graceful_shutdown_drains_every_queued_job(serve_library, monkeypatch):
+    def fake(machine, job, record, base_seed=0, progress=None):
         time.sleep(0.01)
-        return _result(qjob)
+        return _result(job)
 
-    daemon = _daemon(tmp_path, executor)
+    daemon = _daemon(serve_library, monkeypatch, fake)
     jobs = [daemon.submit({"app": "top", "scale": 1}) for _ in range(4)]
     summary = daemon.shutdown(drain=True, timeout=10.0)
     assert summary["drained"]
@@ -217,17 +242,18 @@ def test_graceful_shutdown_drains_every_queued_job(tmp_path):
         daemon.submit({"app": "top", "scale": 1})
 
 
-def test_no_drain_shutdown_cancels_queued_keeps_running(tmp_path):
-    release, started = threading.Event(), threading.Event()
-    daemon = _daemon(tmp_path, _blocking_executor(release, started))
+def test_no_drain_shutdown_cancels_queued_keeps_running(
+    serve_library, monkeypatch, tmp_path
+):
+    daemon = _daemon(serve_library, monkeypatch, _blocking(tmp_path))
     running = daemon.submit({"app": "top", "scale": 1})
     queued = daemon.submit({"app": "top", "scale": 1})
-    assert started.wait(timeout=5.0)
+    assert _exists(tmp_path / "started")
     shutdown = threading.Thread(
         target=daemon.shutdown, kwargs={"drain": False, "timeout": 10.0}
     )
     shutdown.start()
-    release.set()
+    (tmp_path / "release").touch()
     shutdown.join(timeout=10.0)
     assert not shutdown.is_alive()
     assert running.state == "done"
@@ -235,24 +261,19 @@ def test_no_drain_shutdown_cancels_queued_keeps_running(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# control socket end-to-end (fake executor, real unix socket + client)
+# control socket end-to-end (fake jobs, real unix socket + client)
 # ---------------------------------------------------------------------------
 
 
-def test_control_socket_end_to_end(tmp_path):
-    release, started = threading.Event(), threading.Event()
+def test_control_socket_end_to_end(serve_library, monkeypatch, tmp_path):
+    release, started = tmp_path / "release", tmp_path / "started"
     sock = str(tmp_path / "serve.sock")
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+    daemon = _daemon(
+        serve_library, monkeypatch, _blocking(tmp_path),
         socket_path=sock,
-        auto_profile=True,
-        executor=_blocking_executor(release, started),
-        min_workers=1,
         max_workers=2,
         warm_target=0,
-        scale_interval=0.01,
     )
-    daemon.start()
     client = ServeClient(sock)
     try:
         info = client.ping()
@@ -260,7 +281,7 @@ def test_control_socket_end_to_end(tmp_path):
 
         first = client.submit("top", scale=1)
         assert first["name"] == "top#0"
-        assert started.wait(timeout=5.0)
+        assert _exists(started)
         backlog = [client.submit("top", scale=1) for _ in range(3)]
 
         # queue pressure grows the worker pool to its bound
@@ -291,7 +312,7 @@ def test_control_socket_end_to_end(tmp_path):
             target=lambda: watched.extend(client.watch()), daemon=True
         )
         watcher.start()
-        release.set()
+        release.touch()
         done = client.result(first["id"], wait=True, timeout=10.0)
         assert done["job"]["state"] == "done"
         assert done["result"]["cycles"] == 1000
@@ -307,7 +328,7 @@ def test_control_socket_end_to_end(tmp_path):
         kinds = {e["type"] for e in watched}
         assert "done" in kinds and "serve-stopped" in kinds
     finally:
-        release.set()
+        release.touch()
         daemon.shutdown(timeout=5.0)
 
 
@@ -320,7 +341,9 @@ def test_client_unreachable_raises(tmp_path):
             client.ping()
 
 
-def test_client_closes_its_reader_on_every_path(tmp_path, monkeypatch):
+def test_client_closes_its_reader_on_every_path(
+    serve_library, monkeypatch, tmp_path
+):
     """A rejected submission and a watch that ends with the daemon close
     the socket's reader along with the socket: the descriptor is closed
     when the call returns, even while a traceback keeps the request's
@@ -328,14 +351,11 @@ def test_client_closes_its_reader_on_every_path(tmp_path, monkeypatch):
     from repro.serve import protocol
 
     sock = str(tmp_path / "serve.sock")
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+    daemon = _daemon(
+        serve_library, monkeypatch, _finishes,
         socket_path=sock,
-        auto_profile=True,
-        executor=_result,
         warm_target=0,
     )
-    daemon.start()
     client = ServeClient(sock)
     opened = []
     connect = protocol.connect
@@ -390,21 +410,24 @@ def test_event_sink_bounded_offer_and_drop_accounting():
     assert sink.get(timeout=0.1)["seq"] == 1
 
 
-def test_metrics_sampling_fires_queue_saturation(tmp_path):
-    release, started = threading.Event(), threading.Event()
+def test_metrics_sampling_fires_queue_saturation(
+    serve_library, monkeypatch, tmp_path
+):
+    release = tmp_path / "release"
+    # the recorder's thread samples once at start; the hour-long
+    # interval leaves every later tick to this test
     daemon = _daemon(
-        tmp_path,
-        _blocking_executor(release, started),
+        serve_library, monkeypatch, _blocking(tmp_path),
         max_queue_depth=2,
+        metrics_interval=3600.0,
+        ops_journal=str(tmp_path / "ops.journal"),
     )
-    from repro.telemetry import Journal
-
-    # start() normally opens the ops journal; open it by hand since
-    # this test drives the daemon without its threads
-    daemon._ops_journal = Journal(path=str(tmp_path / "ops.journal"))
     try:
+        deadline = time.monotonic() + 5.0
+        while daemon.metrics.samples < 1 and time.monotonic() < deadline:
+            time.sleep(0.01)
         daemon.submit({"app": "top", "scale": 1})
-        assert started.wait(timeout=5.0)
+        assert _exists(tmp_path / "started")
         daemon.submit({"app": "top", "scale": 1})
         daemon.submit({"app": "top", "scale": 1})
         # queue now 2/2: two manual ticks debounce into a fire
@@ -422,7 +445,7 @@ def test_metrics_sampling_fires_queue_saturation(tmp_path):
         assert described["queue"]["utilization"] == 1.0
         assert described["alerts"]["active"][0]["rule"] == "queue-saturation"
 
-        release.set()
+        release.touch()
         for job in daemon.queue.jobs():
             daemon.queue.wait_terminal(job.id, timeout=5.0)
         resolved = daemon._sample_metrics()
@@ -430,7 +453,7 @@ def test_metrics_sampling_fires_queue_saturation(tmp_path):
             (t.rule, t.state) for t in resolved
         ]
     finally:
-        release.set()
+        release.touch()
         daemon.shutdown(timeout=5.0)
     # the ops journal recorded both transitions for repro forensics
     from repro.obs import render_forensics
@@ -441,8 +464,8 @@ def test_metrics_sampling_fires_queue_saturation(tmp_path):
     assert "queue-saturation" in narrative
 
 
-def test_metrics_text_exposes_registry_and_series(tmp_path):
-    daemon = _daemon(tmp_path, _result)
+def test_metrics_text_exposes_registry_and_series(serve_library, monkeypatch):
+    daemon = _daemon(serve_library, monkeypatch, _finishes)
     try:
         qjob = daemon.submit({"app": "top", "scale": 1})
         daemon.queue.wait_terminal(qjob.id, timeout=5.0)
@@ -458,8 +481,8 @@ def test_metrics_text_exposes_registry_and_series(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
-def test_metrics_disabled_raises(tmp_path):
-    daemon = _daemon(tmp_path, _result, metrics_interval=None)
+def test_metrics_disabled_raises(serve_library, monkeypatch):
+    daemon = _daemon(serve_library, monkeypatch, _finishes, metrics_interval=None)
     try:
         assert daemon.metrics is None
         from repro.serve import ServeError
@@ -470,19 +493,16 @@ def test_metrics_disabled_raises(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
-def test_metrics_op_over_socket(tmp_path):
+def test_metrics_op_over_socket(serve_library, monkeypatch, tmp_path):
     from repro.serve.client import ServeClientError
 
     sock = str(tmp_path / "serve.sock")
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+    daemon = _daemon(
+        serve_library, monkeypatch, _finishes,
         socket_path=sock,
-        auto_profile=True,
-        executor=_result,
         warm_target=0,
         metrics_interval=0.05,
     )
-    daemon.start()
     client = ServeClient(sock)
     try:
         job = client.submit("top", scale=1)
@@ -507,15 +527,12 @@ def test_metrics_op_over_socket(tmp_path):
         daemon.shutdown(timeout=5.0)
 
     # a daemon without a recorder reports no-metrics over the socket
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+    daemon = _daemon(
+        serve_library, monkeypatch, _finishes,
         socket_path=sock,
-        auto_profile=True,
-        executor=_result,
         warm_target=0,
         metrics_interval=None,
     )
-    daemon.start()
     try:
         with pytest.raises(ServeClientError, match="no-metrics|metrics"):
             ServeClient(sock).metrics()
@@ -523,20 +540,17 @@ def test_metrics_op_over_socket(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
-def test_metrics_http_listener_serves_scrapes(tmp_path):
+def test_metrics_http_listener_serves_scrapes(serve_library, monkeypatch):
     import json as json_mod
     import urllib.error
     import urllib.request
 
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
-        auto_profile=True,
-        executor=_result,
+    daemon = _daemon(
+        serve_library, monkeypatch, _finishes,
         warm_target=0,
         metrics_interval=0.05,
         metrics_addr="127.0.0.1:0",
     )
-    daemon.start()
     try:
         assert daemon.metrics_port not in (None, 0)
         base = f"http://127.0.0.1:{daemon.metrics_port}"
@@ -558,31 +572,28 @@ def test_metrics_http_listener_serves_scrapes(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
-def test_bad_metrics_addr_rejected(tmp_path):
-    """The failed start is undone: its control socket, and with real
-    worker processes (no executor) its spawner, are gone."""
+def test_bad_metrics_addr_rejected(serve_library, tmp_path):
+    """The failed start is undone: its control socket and its spawner
+    are gone."""
     from repro.serve import ServeError
 
-    for executor in (_result, None):
-        sock = tmp_path / "bad.sock"
-        daemon = ServeDaemon(
-            ProfileLibrary(str(tmp_path / "lib")),
-            socket_path=str(sock),
-            auto_profile=True,
-            executor=executor,
-            warm_target=0,
-            metrics_addr="9464",  # no host part
-        )
-        try:
-            with _no_resource_warnings():
-                with pytest.raises(ServeError, match="host:port"):
-                    daemon.start()
-            assert not sock.exists()
-            spawner = daemon.stats()["workers"]["spawner"]
-            assert (spawner is None) == (executor is not None)
-            assert spawner is None or not os.path.exists(f"/proc/{spawner}")
-        finally:
-            daemon.shutdown(timeout=5.0)
+    sock = tmp_path / "bad.sock"
+    daemon = ServeDaemon(
+        serve_library,
+        socket_path=str(sock),
+        warm_target=0,
+        metrics_addr="9464",  # no host part
+    )
+    try:
+        with _no_resource_warnings():
+            with pytest.raises(ServeError, match="host:port"):
+                daemon.start()
+        assert not sock.exists()
+        spawner = daemon.stats()["workers"]["spawner"]
+        assert spawner is not None
+        assert not os.path.exists(f"/proc/{spawner}")
+    finally:
+        daemon.shutdown(timeout=5.0)
 
 
 # ---------------------------------------------------------------------------
@@ -590,8 +601,8 @@ def test_bad_metrics_addr_rejected(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def test_slow_subscriber_drops_instead_of_blocking(tmp_path):
-    daemon = _daemon(tmp_path, _result, watch_buffer=4)
+def test_slow_subscriber_drops_instead_of_blocking(serve_library, monkeypatch):
+    daemon = _daemon(serve_library, monkeypatch, _finishes, watch_buffer=4)
     try:
         sink, _ = daemon.subscribe()
         # nobody drains the sink; a burst far past its bound must
@@ -613,17 +624,16 @@ def test_slow_subscriber_drops_instead_of_blocking(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
-def test_watch_socket_reports_dropped_events(tmp_path):
+def test_watch_socket_reports_dropped_events(
+    serve_library, monkeypatch, tmp_path
+):
     sock = str(tmp_path / "serve.sock")
-    daemon = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+    daemon = _daemon(
+        serve_library, monkeypatch, _finishes,
         socket_path=sock,
-        auto_profile=True,
-        executor=_result,
         warm_target=0,
         watch_buffer=2,
     )
-    daemon.start()
     client = ServeClient(sock)
     events = []
     done = threading.Event()

@@ -6,33 +6,35 @@ queue entries, lifecycle events, status rows and the submit response,
 so ``repro obs trace`` can follow a request after the daemon is gone.
 Also covers the ``--metrics-interval 0`` ergonomics: ``ctl metrics`` /
 ``ctl top`` against a recorder-less daemon must say so clearly.
+
+The daemons' worker processes run a fake ``execute_job``, patched into
+:mod:`repro.serve.daemon` before ``start()``, so no guest boots.
 """
 
 import time
 
 import pytest
 
+import repro.serve.daemon as daemon_mod
 from repro.cli import main
-from repro.fleet import ProfileLibrary
 from repro.fleet.jobs import JobResult
 from repro.serve import MetricsDisabled, ServeClient, ServeDaemon
 
 
-def fake_executor(qjob):
+def fake_execute_job(machine, job, record, base_seed=0, progress=None):
     time.sleep(0.01)
     return JobResult(
-        name=qjob.job.name, app=qjob.job.app, ok=True,
+        name=job.name, app=job.app, ok=True,
         cycles=1000, syscalls=5, job_cycles=1000,
     )
 
 
 @pytest.fixture()
-def daemon(tmp_path):
+def daemon(serve_library, monkeypatch, tmp_path):
+    monkeypatch.setattr(daemon_mod, "execute_job", fake_execute_job)
     d = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+        serve_library,
         socket_path=str(tmp_path / "serve.sock"),
-        auto_profile=True,
-        executor=fake_executor,
         warm_target=0,
     )
     d.start()
@@ -89,12 +91,13 @@ def test_ctl_submit_prints_trace_id(daemon, capsys):
     assert "trace 0ddba11" in capsys.readouterr().out
 
 
-def test_ctl_metrics_disabled_is_a_clear_exit_2(tmp_path, capsys):
+def test_ctl_metrics_disabled_is_a_clear_exit_2(
+    serve_library, monkeypatch, tmp_path, capsys
+):
+    monkeypatch.setattr(daemon_mod, "execute_job", fake_execute_job)
     d = ServeDaemon(
-        ProfileLibrary(str(tmp_path / "lib")),
+        serve_library,
         socket_path=str(tmp_path / "serve.sock"),
-        auto_profile=True,
-        executor=fake_executor,
         warm_target=0,
         metrics_interval=None,
     )
