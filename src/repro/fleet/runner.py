@@ -37,7 +37,7 @@ from typing import Any, Callable, Dict, List, Optional
 from repro.fleet.jobs import JobResult
 from repro.fleet.library import ProfileLibrary
 from repro.fleet.spec import FleetSpec
-from repro.obs.store import TraceJournalWriter
+from repro.telemetry.journal import Journal
 
 #: The daemon events a fleet relays: each job's own.
 _JOB_EVENTS = ("start", "heartbeat", "journal", "done")
@@ -177,7 +177,7 @@ def run_fleet(
     journal_root = Path(journal_dir) if journal_dir is not None else None
     if journal_root is not None:
         journal_root.mkdir(parents=True, exist_ok=True)
-    writers: Dict[str, TraceJournalWriter] = {}
+    writers: Dict[str, Journal] = {}
     daemon.start(guests=list(configs.values()))
     try:
         queued = [daemon.submit(job.to_dict()) for job in spec.jobs]
@@ -191,7 +191,7 @@ def run_fleet(
             if kind == "journal" and journal_root is not None:
                 writer = writers.get(name)
                 if writer is None:
-                    writer = writers[name] = TraceJournalWriter(
+                    writer = writers[name] = Journal(
                         journal_root / f"{name.replace('/', '_')}.jsonl",
                         meta={"job": name, "spec": spec.name},
                     )

@@ -24,6 +24,7 @@ from repro.telemetry.journal import (
     SpanNode,
     build_span_trees,
     load_journal,
+    read_header,
 )
 
 #: Verdicts in severity order (worst first) for the summary line.
@@ -233,23 +234,12 @@ def render_legacy_snapshot(snap: Dict[str, Any]) -> str:
 def render_forensics(path: Union[str, Path]) -> str:
     """Auto-detect journal vs legacy snapshot and render the narrative."""
     path = Path(path)
-    try:
-        first = ""
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                if line.strip():
-                    first = line.strip()
-                    break
-    except OSError as exc:
-        raise JournalError(f"unreadable file {path}: {exc}") from exc
-    try:
-        probe = json.loads(first) if first else None
-    except ValueError:
-        probe = None
-    if isinstance(probe, dict) and probe.get("t") == "header":
+    if read_header(path) is not None:
         return render_journal_narrative(load_journal(path))
     try:
         snap = json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise JournalError(f"unreadable file {path}: {exc}") from exc
     except ValueError as exc:
         raise JournalError(
             f"{path} is neither a span journal nor a telemetry snapshot: {exc}"

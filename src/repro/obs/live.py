@@ -19,6 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
+#: The events that belong to one job's row.
+_JOB_EVENTS = ("queued", "cancelled", "start", "heartbeat", "journal", "done")
+
 
 @dataclass
 class JobStatus:
@@ -149,6 +152,8 @@ class LiveFleetView:
             )
             self.notices.append(notice)
             return [notice]
+        if kind not in _JOB_EVENTS:
+            return []  # an event this view does not know: no job row
         name = message.get("job", "?")
         status = self.expect(name, app=message.get("app", ""))
         notices: List[str] = []

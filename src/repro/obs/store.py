@@ -12,9 +12,10 @@ Layout under ``--obs-dir``::
     segments/seg-000001.jsonl    one JSONL segment per rotation window
     traces/<trace_id>.jsonl      one guest journal per traced request
 
-Each segment starts with a ``header`` record (store schema, segment
-index, creation time, recorder config) and -- on clean rotation or
-shutdown -- ends with a ``footer``.  Body records are:
+Each segment is a :class:`~repro.telemetry.journal.Journal` whose
+header also carries the segment index and its creation time, and whose
+footer (written on clean rotation or shutdown) counts its records and
+``"dropped": 0``.  Body records are:
 
 * ``sample`` -- one recorder tick's raw observations, as
   ``[name, label, label_key, t, value]`` tuples tapped from
@@ -29,13 +30,14 @@ shutdown -- ends with a ``footer``.  Body records are:
   done / cancelled / rejected / scaled / serve-*), stamped with the
   store clock so ``repro obs trace`` can narrate wall-clock deltas.
 
-Durability rules:
+Durability rules are :mod:`repro.telemetry.journal`'s, with:
 
-* **writers** flush every record and rotate segments by size and age;
-  a crash can lose at most the partially-written last line;
-* **readers** tolerate a torn tail: a segment whose final line is
-  truncated or unparseable yields every record before the tear and
-  counts the segment as torn -- never an exception;
+* **writers** flush every archive record as it is written, and each
+  forwarded trace-journal segment once; segments rotate by size and
+  age;
+* **readers** go through :func:`~repro.telemetry.journal.recover_journal`:
+  a segment or trace journal cut short yields every record before the
+  tear and counts as torn -- never an exception;
 * **compaction** downsamples segments older than ``compact_after`` to
   60 s resolution.  For every series window the 60 s ring would have
   committed, the window-opening point and the final refresher survive
@@ -47,7 +49,6 @@ Durability rules:
 
 from __future__ import annotations
 
-import json
 import os
 import threading
 import time
@@ -61,10 +62,12 @@ from repro.obs.metrics import (
     AlertTransition,
     SeriesBank,
 )
-from repro.telemetry.journal import JOURNAL_SCHEMA, build_span_trees
-
-#: Bump only when the meaning of existing store fields changes.
-STORE_SCHEMA = 1
+from repro.telemetry.journal import (
+    Journal,
+    build_span_trees,
+    read_header,
+    recover_journal,
+)
 
 #: Segment rotation thresholds (size OR age, whichever trips first).
 DEFAULT_ROTATE_BYTES = 1 << 20
@@ -90,10 +93,6 @@ class ObsStoreError(Exception):
     """Archive directory problems (never raised for torn tails)."""
 
 
-def _dumps(record: Dict[str, Any]) -> str:
-    return json.dumps(record, separators=(",", ":"), sort_keys=True)
-
-
 def _segment_index(path: Path) -> Optional[int]:
     name = path.name
     if not (
@@ -109,56 +108,18 @@ def _segment_index(path: Path) -> Optional[int]:
 # ---------------------------------------------------------------------------
 
 
-class TraceJournalWriter:
-    """One traced request's guest journal (``traces/<trace_id>.jsonl``).
+#: The per-trace journal writer.  A name for :class:`Journal`, which
+#: ``perfbench/tracing.py`` wraps as ``TraceJournalWriter.extend`` and
+#: ``.close``.
+TraceJournalWriter = Journal
 
-    Receives the raw records the worker drains from the job's bounded
-    in-memory journal and writes them verbatim (they keep their
-    original monotonic ``seq``), under a standard journal header so a
-    cleanly-closed file also satisfies the strict
-    :func:`repro.telemetry.journal.parse_journal`; a crash mid-job
-    leaves a torn tail the tolerant reader recovers from.
-    """
 
-    def __init__(self, path: Path, meta: Dict[str, Any]) -> None:
-        self.path = path
-        self._fh = open(path, "w", encoding="utf-8")
-        self._fh.write(
-            _dumps({"t": "header", "schema": JOURNAL_SCHEMA, "meta": meta})
-            + "\n"
-        )
-        self._fh.flush()
-        self._last_seq = 0
-        self._dropped = 0
-        self.closed = False
-
-    def extend(self, records: Sequence[Dict[str, Any]], dropped: int) -> None:
-        if self.closed:
-            return
-        for record in records:
-            self._fh.write(_dumps(record) + "\n")
-            seq = record.get("seq")
-            if isinstance(seq, int):
-                self._last_seq = max(self._last_seq, seq)
-        self._dropped += int(dropped)
-        if records or dropped:
-            self._fh.flush()
-
-    def close(self) -> None:
-        if self.closed:
-            return
-        self.closed = True
-        self._fh.write(
-            _dumps(
-                {
-                    "t": "footer",
-                    "records": self._last_seq,
-                    "dropped": self._dropped,
-                }
-            )
-            + "\n"
-        )
-        self._fh.close()
+def _trace_path(root: Path, trace_id: str) -> Path:
+    """``traces/<trace_id>.jsonl``, the id made safe as a file name."""
+    safe = "".join(
+        c if c.isalnum() or c in "-_." else "_" for c in str(trace_id)
+    )
+    return root / "traces" / f"{safe}.jsonl"
 
 
 class ObsStore:
@@ -206,10 +167,6 @@ class ObsStore:
             if idx is not None
         ]
         self._index = max(existing, default=0)
-        self._fh = None
-        self._opened_at: Optional[float] = None
-        self._bytes = 0
-        self._seq = 0
         self.closed = False
         self._open_segment(self._clock())
 
@@ -220,45 +177,27 @@ class ObsStore:
 
     def _open_segment(self, now: float) -> None:
         self._index += 1
-        self._fh = open(self._segment_path(self._index), "w", encoding="utf-8")
+        self._segment = Journal(
+            self._segment_path(self._index),
+            meta=self.meta,
+            header={
+                "store": "repro-obs", "segment": self._index, "created": now,
+            },
+        )
         self._opened_at = now
-        self._seq = 0
-        header = {
-            "t": "header",
-            "store": "repro-obs",
-            "schema": STORE_SCHEMA,
-            "segment": self._index,
-            "created": now,
-            "meta": self.meta,
-        }
-        line = _dumps(header) + "\n"
-        self._fh.write(line)
-        self._fh.flush()
-        self._bytes = len(line)
 
-    def _close_segment(self) -> None:
-        if self._fh is None:
-            return
-        self._fh.write(_dumps({"t": "footer", "records": self._seq}) + "\n")
-        self._fh.close()
-        self._fh = None
-
-    def _append(self, record: Dict[str, Any]) -> None:
+    def _append(self, kind: str, /, **payload: Any) -> None:
         with self._lock:
             if self.closed:
                 return
             now = self._clock()
-            if self._bytes >= self.rotate_bytes or (
-                self._opened_at is not None
-                and now - self._opened_at >= self.rotate_seconds
+            if (
+                self._segment.size >= self.rotate_bytes
+                or now - self._opened_at >= self.rotate_seconds
             ):
                 self.rotate(now)
-            self._seq += 1
-            record["seq"] = self._seq
-            line = _dumps(record) + "\n"
-            self._fh.write(line)
-            self._fh.flush()
-            self._bytes += len(line)
+            self._segment.append(kind, **payload)
+            self._segment.flush()
 
     def rotate(self, now: Optional[float] = None) -> None:
         """Close the open segment, run maintenance, open a fresh one."""
@@ -267,7 +206,7 @@ class ObsStore:
                 return
             if now is None:
                 now = self._clock()
-            self._close_segment()
+            self._segment.close()
             self.maintain(now)
             self._open_segment(now)
 
@@ -275,7 +214,7 @@ class ObsStore:
         with self._lock:
             if self.closed:
                 return
-            self._close_segment()
+            self._segment.close()
             self.closed = True
 
     # -- appends ---------------------------------------------------------------
@@ -285,11 +224,7 @@ class ObsStore:
     ) -> None:
         """Archive one recorder tick's tapped observations."""
         self._append(
-            {
-                "t": "sample",
-                "now": now,
-                "points": [list(point) for point in points],
-            }
+            "sample", now=now, points=[list(point) for point in points]
         )
 
     def append_alert(self, transition: Any) -> None:
@@ -298,21 +233,20 @@ class ObsStore:
             if hasattr(transition, "to_dict")
             else dict(transition)
         )
-        self._append({"t": "alert", **data})
+        self._append("alert", **data)
 
     def append_event(self, event: Dict[str, Any]) -> None:
-        self._append({"t": "event", "at": self._clock(), "event": dict(event)})
+        self._append("event", at=self._clock(), event=dict(event))
 
     def job_journal(
         self, trace_id: str, meta: Dict[str, Any]
-    ) -> Optional[TraceJournalWriter]:
-        """Open the per-request guest journal for ``trace_id``."""
+    ) -> Optional[Journal]:
+        """Open the per-request guest journal for ``trace_id``; the
+        daemon forwards the job's journal segments to it with
+        :meth:`Journal.extend`."""
         if not trace_id:
             return None
-        safe = "".join(
-            c if c.isalnum() or c in "-_." else "_" for c in str(trace_id)
-        )
-        return TraceJournalWriter(self.traces_dir / f"{safe}.jsonl", meta)
+        return Journal(_trace_path(self.root, trace_id), meta=meta)
 
     # -- maintenance -----------------------------------------------------------
 
@@ -327,14 +261,11 @@ class ObsStore:
 
     @staticmethod
     def _segment_created(path: Path) -> Optional[float]:
+        header = read_header(path)
         try:
-            with open(path, encoding="utf-8") as fh:
-                header = json.loads(fh.readline())
-            if isinstance(header, dict) and header.get("t") == "header":
-                return float(header.get("created", 0.0))
-        except (OSError, ValueError, TypeError):
-            pass
-        return None
+            return float(header.get("created", 0.0)) if header else None
+        except (ValueError, TypeError):
+            return None
 
     def maintain(self, now: Optional[float] = None) -> Dict[str, int]:
         """Retention + compaction over closed segments.
@@ -394,15 +325,16 @@ class ObsStore:
         refresher_slot: Dict[Tuple[str, str], Optional[int]] = {}
         compacted = 0
         for index, path in self._closed_segments():
-            header, records, _footer, _torn = _read_segment(path)
-            if header is None:
+            segment = recover_journal(path)
+            header = segment.header
+            if not header:
                 continue
             already = bool(header.get("compacted"))
             rewrite = path in eligible and not already
             kept: List[List[Any]] = []
             out_records: List[Dict[str, Any]] = []
             last_now = header.get("created", 0.0)
-            for record in records:
+            for record in segment.records:
                 kind = record.get("t")
                 if kind != "sample":
                     out_records.append(record)
@@ -435,31 +367,20 @@ class ObsStore:
                 refresher_slot = {k: None for k in refresher_slot}
                 continue
             tmp = path.with_suffix(".tmp")
-            with open(tmp, "w", encoding="utf-8") as fh:
-                new_header = dict(header)
-                new_header["compacted"] = True
-                new_header["resolution"] = COMPACT_RESOLUTION
-                fh.write(_dumps(new_header) + "\n")
-                seq = 0
-                if kept:
-                    seq += 1
-                    fh.write(
-                        _dumps(
-                            {
-                                "t": "sample",
-                                "seq": seq,
-                                "now": last_now,
-                                "points": kept,
-                            }
-                        )
-                        + "\n"
-                    )
-                for record in out_records:
-                    seq += 1
-                    record = dict(record)
-                    record["seq"] = seq
-                    fh.write(_dumps(record) + "\n")
-                fh.write(_dumps({"t": "footer", "records": seq}) + "\n")
+            out = Journal(
+                tmp,
+                meta=segment.meta,
+                header={
+                    **header,
+                    "compacted": True,
+                    "resolution": COMPACT_RESOLUTION,
+                },
+            )
+            if kept:
+                out.append("sample", now=last_now, points=kept)
+            for record in out_records:
+                out.append(record["t"], **record)  # "t" and "seq" set afresh
+            out.close()
             os.replace(tmp, path)
             refresher_slot = {k: None for k in refresher_slot}
             compacted += 1
@@ -467,64 +388,8 @@ class ObsStore:
 
 
 # ---------------------------------------------------------------------------
-# tolerant reader
+# reader
 # ---------------------------------------------------------------------------
-
-
-def _read_lines_tolerant(
-    path: Path,
-) -> Tuple[List[Dict[str, Any]], bool]:
-    """Parse JSONL records, stopping (not raising) at a torn tail."""
-    records: List[Dict[str, Any]] = []
-    torn = False
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                if not line.endswith("\n"):
-                    torn = True  # partial final write: the tear
-                    break
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except ValueError:
-                    torn = True
-                    break
-                if not isinstance(record, dict) or "t" not in record:
-                    torn = True
-                    break
-                records.append(record)
-    except OSError:
-        return [], True
-    return records, torn
-
-
-def _read_segment(
-    path: Path,
-) -> Tuple[
-    Optional[Dict[str, Any]],
-    List[Dict[str, Any]],
-    Optional[Dict[str, Any]],
-    bool,
-]:
-    """One segment -> (header, body records, footer, torn)."""
-    records, torn = _read_lines_tolerant(path)
-    header: Optional[Dict[str, Any]] = None
-    footer: Optional[Dict[str, Any]] = None
-    body: List[Dict[str, Any]] = []
-    for record in records:
-        kind = record.get("t")
-        if header is None:
-            if kind != "header":
-                return None, [], None, True
-            header = record
-        elif kind == "footer":
-            footer = record
-            break
-        else:
-            body.append(record)
-    return header, body, footer, torn
 
 
 @dataclass
@@ -585,14 +450,14 @@ def read_archive(
         if (idx := _segment_index(p)) is not None
     )
     for _, path in paths:
-        header, body, _footer, torn = _read_segment(path)
+        segment = recover_journal(path)
         data.segments += 1
-        if torn:
+        if segment.torn:
             data.torn_segments += 1
-        if header is None:
+        if not segment.header:
             continue
-        data.headers.append(header)
-        for record in body:
+        data.headers.append(segment.header)
+        for record in segment.records:
             kind = record.get("t")
             if kind == "sample":
                 if wanted(record.get("now")):
@@ -833,24 +698,11 @@ def read_trace_journal(
     Returns ``(meta, records, torn)``; empty when no journal exists
     (e.g. the request was rejected before a worker picked it up).
     """
-    safe = "".join(
-        c if c.isalnum() or c in "-_." else "_" for c in str(trace_id)
-    )
-    path = Path(root) / "traces" / f"{safe}.jsonl"
+    path = _trace_path(Path(root), trace_id)
     if not path.exists():
         return {}, [], False
-    records, torn = _read_lines_tolerant(path)
-    meta: Dict[str, Any] = {}
-    body: List[Dict[str, Any]] = []
-    for record in records:
-        kind = record.get("t")
-        if kind == "header":
-            meta = dict(record.get("meta") or {})
-        elif kind == "footer":
-            break
-        else:
-            body.append(record)
-    return meta, body, torn
+    journal = recover_journal(path)
+    return journal.meta, journal.records, journal.torn
 
 
 #: Lifecycle event types narrated in order, with a one-word verb each.

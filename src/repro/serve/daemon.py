@@ -64,7 +64,7 @@ from repro.serve.queue import (
     TenantPolicy,
 )
 from repro.serve.webhook import AlertWebhook
-from repro.serve.worker import Spawner, WorkerProcess, exit_cause, serve_jobs
+from repro.serve.worker import Spawner, WorkerProcess, serve_jobs
 from repro.telemetry import Journal, Telemetry
 from repro.telemetry.export import snapshot as telemetry_snapshot
 from repro.telemetry.merge import empty_merge, merge_into
@@ -473,13 +473,15 @@ class ServeDaemon:
             # journal segments reach live subscribers and the per-trace
             # files only: they can be megabytes, so neither the backlog
             # nor the archive keeps them
-            if message.get("type") != "journal":
+            kind = message.get("type")
+            if kind != "journal":
                 self._events.append(event)
                 if len(self._events) > _EVENT_BACKLOG:
                     del self._events[: len(self._events) - _EVENT_BACKLOG]
-                # archive lifecycle events in seq order; archive failure
-                # never breaks the event stream
-                if self._obs_store is not None:
+                # archive lifecycle events in seq order (an alert is
+                # archived once, as its ``alert`` record); archive
+                # failure never breaks the event stream
+                if self._obs_store is not None and kind != "alert":
                     try:
                         self._obs_store.append_event(event)
                     except OSError:
@@ -722,13 +724,13 @@ class ServeDaemon:
                 worker = self._spawn(slot)
         return worker
 
-    def _release(self, worker: WorkerProcess) -> Optional[int]:
-        """Stop and reap ``worker``; its wait status."""
+    def _release(self, worker: WorkerProcess) -> str:
+        """Stop and reap ``worker``; how it ended, in words."""
         with self._workers_lock:
             if self._procs.get(worker.slot) is worker:
                 del self._procs[worker.slot]
         worker.conn.close()
-        return self._spawner.stop(worker.pid)
+        return self._spawner.stop(worker)
 
     def _count_pool(
         self, before: Dict[str, Any], after: Dict[str, Any]
@@ -860,7 +862,7 @@ class ServeDaemon:
                 if not conn.poll(_POLL_SECONDS):
                     silent = time.monotonic() - heard
                     if silent > job.timeout + _WORKER_GRACE_SECONDS:
-                        cause = exit_cause(self._release(worker))
+                        cause = self._release(worker)
                         raise JobAborted(
                             "crashed", consumed,
                             f"TimeoutError: worker pid {worker.pid} sent "
@@ -911,7 +913,7 @@ class ServeDaemon:
                     self._note_pool(worker, message["pool"])
                     return message["result"]
         except (EOFError, OSError):
-            cause = exit_cause(self._release(worker))
+            cause = self._release(worker)
             raise JobAborted(
                 "crashed", consumed,
                 f"WorkerCrashed: worker pid {worker.pid} {cause} "

@@ -39,6 +39,7 @@ from __future__ import annotations
 import gc
 import os
 import pickle
+import select
 import signal
 import socket
 import threading
@@ -80,6 +81,10 @@ def exit_cause(status: Optional[int]) -> str:
 
 
 # -- spawner -------------------------------------------------------------------
+
+#: How long a worker whose spawner has exited gets to finish exiting on
+#: its own before :meth:`Spawner.stop` kills it.
+_EXIT_GRACE_MS = 500
 
 
 def _stop(pid: int) -> int:
@@ -135,6 +140,9 @@ class WorkerProcess:
     slot: int
     pid: int
     conn: Connection
+    #: a pidfd on the process, to kill it by once the spawner (its
+    #: parent) has exited
+    pidfd: int
     #: the worker's latest ``WarmPool.stats()``
     pool: Dict[str, Any] = field(default_factory=dict)
 
@@ -143,8 +151,8 @@ class Spawner:
     """The daemon's handle on its spawner process (see module docs).
 
     Construct it before the daemon starts any thread.  Its methods are
-    safe to call from any daemon thread; once the spawner is gone they
-    report that (``spawn`` raises, ``stop`` returns ``None``).
+    safe to call from any daemon thread; once the spawner is gone,
+    ``spawn`` raises and ``stop`` kills through the worker's pidfd.
     """
 
     def __init__(self, worker_main: Callable[[Connection], None]) -> None:
@@ -180,11 +188,32 @@ class Spawner:
         if pid is None:
             ours.close()
             raise OSError("the worker spawner has exited")
-        return WorkerProcess(slot=slot, pid=pid, conn=Connection(ours.detach()))
+        # opened while the worker is the spawner's unreaped child, so the
+        # pid cannot yet name another process
+        return WorkerProcess(
+            slot=slot, pid=pid, conn=Connection(ours.detach()),
+            pidfd=os.pidfd_open(pid),
+        )
 
-    def stop(self, pid: int) -> Optional[int]:
-        """SIGKILL and reap a worker; its wait status."""
-        return self._call("stop", pid)
+    def stop(self, worker: WorkerProcess) -> str:
+        """SIGKILL and reap ``worker`` and close its pidfd; how it ended,
+        in words.  Once the spawner has exited, the worker is no longer
+        its child to stop: one still running after a grace (a worker
+        whose channel closed may be partway through exiting) is killed
+        through its pidfd instead, and waited for."""
+        status = self._call("stop", worker.pid)
+        exited = select.poll()
+        exited.register(worker.pidfd, select.POLLIN)  # readable at exit
+        try:
+            if status is None and not exited.poll(_EXIT_GRACE_MS):
+                signal.pidfd_send_signal(worker.pidfd, signal.SIGKILL)
+                exited.poll()
+                return "was killed by SIGKILL through its pidfd"
+        except ProcessLookupError:
+            pass  # it exited after all
+        finally:
+            os.close(worker.pidfd)
+        return exit_cause(status)
 
     def close(self) -> None:
         """The spawner kills and reaps its workers and exits; reap it."""

@@ -20,6 +20,22 @@ Record kinds written today: ``span`` (closed causal spans, see
 with the innermost open span so the loader can attach them to the
 tree).  Unknown kinds are preserved round-trip; the schema version only
 changes when existing fields change meaning.
+
+This module is the only one that knows the file format: every
+append-only JSONL file the repo writes is a :class:`Journal` (span and
+ops journals, per-trace and ``--journal-dir`` files, ``--obs-dir``
+archive segments), and one line parser reads them all.  Durability
+rules:
+
+* the header is flushed on open; the caller picks when records are:
+  each as written (ops journal, archive), once per forwarded segment
+  (:meth:`Journal.extend`), or as the buffer fills (a span journal, on
+  the guest's hot path) -- a crash loses at most the unflushed tail;
+* :func:`parse_journal` / :func:`load_journal` raise at the first
+  defect and reject seq gaps the footer does not account for;
+  :func:`recover_journal` stops at the first defect (a final line with
+  no newline, bad JSON, a record out of place), keeps every record
+  before it and marks the result ``torn``.
 """
 
 from __future__ import annotations
@@ -28,7 +44,9 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Any, Deque, Dict, Iterable, List, Optional, Sequence, Tuple, Union,
+)
 
 #: Bump only when the meaning of existing fields changes.
 JOURNAL_SCHEMA = 1
@@ -45,11 +63,13 @@ def _dumps(record: Dict[str, Any]) -> str:
 class Journal:
     """Append-only record sink; file-backed, in-memory, or both.
 
-    ``path``      -- JSONL file to append to (header written immediately).
+    ``path``      -- JSONL file to write (header written immediately).
     ``capacity``  -- bound on the in-memory buffer; ``None`` = unbounded.
     ``keep``      -- retain records in memory (defaults to True without a
                      path, False with one -- the file already has them).
     ``meta``      -- free-form run metadata stored in the header.
+    ``header``    -- further header fields (an archive segment's index
+                     and creation time, say).
     """
 
     def __init__(
@@ -58,6 +78,7 @@ class Journal:
         capacity: Optional[int] = None,
         keep: Optional[bool] = None,
         meta: Optional[Dict[str, Any]] = None,
+        header: Optional[Dict[str, Any]] = None,
     ) -> None:
         self.path = Path(path) if path is not None else None
         self.capacity = capacity
@@ -65,20 +86,33 @@ class Journal:
         self.meta = dict(meta or {})
         #: seq of the most recently appended body record
         self.seq = 0
-        #: total records evicted from the in-memory buffer
+        #: total records evicted from the in-memory buffer (or, for a
+        #: forwarding journal, by the journals it forwards)
         self.dropped = 0
+        #: bytes written to the file so far
+        self.size = 0
         self._dropped_since_drain = 0
         self._buffer: Deque[Dict[str, Any]] = deque()
         self._fh = None
         self.closed = False
         if self.path is not None:
             self._fh = open(self.path, "w", encoding="utf-8")
-            self._fh.write(
-                _dumps({"t": "header", "schema": JOURNAL_SCHEMA, "meta": self.meta})
-                + "\n"
+            self._write(
+                {
+                    **(header or {}),
+                    "t": "header",
+                    "schema": JOURNAL_SCHEMA,
+                    "meta": self.meta,
+                }
             )
+            self._fh.flush()
 
     # -- writing -------------------------------------------------------------
+
+    def _write(self, record: Dict[str, Any]) -> None:
+        line = _dumps(record) + "\n"
+        self._fh.write(line)
+        self.size += len(line)
 
     def append(self, kind: str, /, **payload: Any) -> int:
         """Append one body record; returns its seq number.
@@ -93,7 +127,7 @@ class Journal:
         record["t"] = kind
         record["seq"] = self.seq
         if self._fh is not None:
-            self._fh.write(_dumps(record) + "\n")
+            self._write(record)
         if self.keep:
             self._buffer.append(record)
             if self.capacity is not None and len(self._buffer) > self.capacity:
@@ -101,6 +135,22 @@ class Journal:
                 self.dropped += 1
                 self._dropped_since_drain += 1
         return self.seq
+
+    def extend(self, records: Sequence[Dict[str, Any]], dropped: int) -> None:
+        """Forward a segment another journal drained (its
+        :meth:`drain_segment`) to this journal's file, verbatim: the
+        records keep their seqs, and ``dropped`` adds to the drops the
+        footer accounts for.  Flushed once per segment."""
+        if self.closed:
+            return
+        for record in records:
+            self._write(record)
+            seq = record.get("seq")
+            if isinstance(seq, int) and seq > self.seq:
+                self.seq = seq
+        self.dropped += int(dropped)
+        if records or dropped:
+            self._fh.flush()
 
     def records(self) -> List[Dict[str, Any]]:
         """The in-memory records (empty unless ``keep``)."""
@@ -126,9 +176,8 @@ class Journal:
             return
         self.closed = True
         if self._fh is not None:
-            self._fh.write(
-                _dumps({"t": "footer", "records": self.seq, "dropped": self.dropped})
-                + "\n"
+            self._write(
+                {"t": "footer", "records": self.seq, "dropped": self.dropped}
             )
             self._fh.close()
             self._fh = None
@@ -152,12 +201,22 @@ class Journal:
 
 @dataclass
 class JournalData:
-    """A parsed journal: header metadata, body records, loss accounting."""
+    """A parsed journal: header, body records, loss accounting."""
 
-    schema: int
-    meta: Dict[str, Any]
+    #: the header record (empty when none was read)
+    header: Dict[str, Any]
     records: List[Dict[str, Any]]
     footer: Optional[Dict[str, Any]] = None
+    #: a tolerant read stopped at a defect (see :func:`recover_journal`)
+    torn: bool = False
+
+    @property
+    def schema(self) -> Optional[int]:
+        return self.header.get("schema")
+
+    @property
+    def meta(self) -> Dict[str, Any]:
+        return dict(self.header.get("meta") or {})
 
     @property
     def dropped(self) -> int:
@@ -172,6 +231,82 @@ class JournalData:
         return self.footer is not None
 
 
+def _parse(lines: Iterable[str], strict: bool) -> JournalData:
+    """The one line parser behind every reader.
+
+    Each line is checked in order; a strict parse raises
+    :class:`JournalError` at the first defect and then verifies seq
+    completeness, a tolerant one stops at the first defect and returns
+    what came before it, marked ``torn``.
+    """
+    data = JournalData(header={}, records=[])
+    records = data.records
+    try:
+        for lineno, line in enumerate(lines, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                record = json.loads(line)
+            except ValueError as exc:
+                raise JournalError(f"line {lineno}: invalid JSON: {exc}") from exc
+            if not isinstance(record, dict) or "t" not in record:
+                raise JournalError(f"line {lineno}: not a journal record")
+            kind = record["t"]
+            if kind == "header":
+                if data.header:
+                    raise JournalError(f"line {lineno}: duplicate header")
+                if records or data.footer is not None:
+                    raise JournalError(f"line {lineno}: header not first")
+                data.header = record
+                schema = record.get("schema")
+                if schema != JOURNAL_SCHEMA:
+                    raise JournalError(
+                        f"unsupported journal schema {schema!r} "
+                        f"(expected {JOURNAL_SCHEMA})"
+                    )
+                continue
+            if not data.header:
+                raise JournalError(f"line {lineno}: record before header")
+            if data.footer is not None:
+                raise JournalError(f"line {lineno}: record after footer")
+            if kind == "footer":
+                data.footer = record
+                continue
+            seq = record.get("seq")
+            if not isinstance(seq, int):
+                raise JournalError(f"line {lineno}: body record without seq")
+            if records and seq <= records[-1]["seq"]:
+                raise JournalError(
+                    f"line {lineno}: seq {seq} not increasing "
+                    f"(previous {records[-1]['seq']})"
+                )
+            records.append(record)
+        if not data.header:
+            raise JournalError("empty journal: no header record")
+    except JournalError:
+        if strict:
+            raise
+        data.torn = True
+        return data
+    if strict:
+        last_seq = records[-1]["seq"] if records else 0
+        missing = last_seq - len(records)
+        if missing > data.dropped:
+            raise JournalError(
+                f"{missing} seq number(s) missing but only {data.dropped} "
+                "drop(s) accounted for"
+            )
+        if data.footer is not None:
+            declared = int(data.footer.get("records", last_seq))
+            if declared < last_seq:
+                raise JournalError(
+                    f"footer declares {declared} records but seq reaches "
+                    f"{last_seq}"
+                )
+    return data
+
+
 def parse_journal(lines: Iterable[str]) -> JournalData:
     """Parse journal lines, verifying schema and seq completeness.
 
@@ -180,71 +315,7 @@ def parse_journal(lines: Iterable[str]) -> JournalData:
     a journal with unexplained gaps is evidence of tampering or
     truncation and is rejected.
     """
-    header: Optional[Dict[str, Any]] = None
-    footer: Optional[Dict[str, Any]] = None
-    records: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except ValueError as exc:
-            raise JournalError(f"line {lineno}: invalid JSON: {exc}") from exc
-        if not isinstance(record, dict) or "t" not in record:
-            raise JournalError(f"line {lineno}: not a journal record")
-        kind = record["t"]
-        if kind == "header":
-            if header is not None:
-                raise JournalError(f"line {lineno}: duplicate header")
-            if records or footer is not None:
-                raise JournalError(f"line {lineno}: header not first")
-            schema = record.get("schema")
-            if schema != JOURNAL_SCHEMA:
-                raise JournalError(
-                    f"unsupported journal schema {schema!r} "
-                    f"(expected {JOURNAL_SCHEMA})"
-                )
-            header = record
-            continue
-        if header is None:
-            raise JournalError(f"line {lineno}: record before header")
-        if footer is not None:
-            raise JournalError(f"line {lineno}: record after footer")
-        if kind == "footer":
-            footer = record
-            continue
-        seq = record.get("seq")
-        if not isinstance(seq, int):
-            raise JournalError(f"line {lineno}: body record without seq")
-        if records and seq <= records[-1]["seq"]:
-            raise JournalError(
-                f"line {lineno}: seq {seq} not increasing "
-                f"(previous {records[-1]['seq']})"
-            )
-        records.append(record)
-    if header is None:
-        raise JournalError("empty journal: no header record")
-    data = JournalData(
-        schema=int(header["schema"]),
-        meta=dict(header.get("meta", {})),
-        records=records,
-        footer=footer,
-    )
-    last_seq = records[-1]["seq"] if records else 0
-    missing = last_seq - len(records)
-    if missing > data.dropped:
-        raise JournalError(
-            f"{missing} seq number(s) missing but only {data.dropped} "
-            "drop(s) accounted for"
-        )
-    if footer is not None:
-        declared = int(footer.get("records", last_seq))
-        if declared < last_seq:
-            raise JournalError(
-                f"footer declares {declared} records but seq reaches {last_seq}"
-            )
-    return data
+    return _parse(lines, strict=True)
 
 
 def load_journal(path: Union[str, Path]) -> JournalData:
@@ -255,6 +326,36 @@ def load_journal(path: Union[str, Path]) -> JournalData:
     except OSError as exc:
         raise JournalError(f"unreadable journal {path}: {exc}") from exc
     return parse_journal(text.splitlines())
+
+
+def recover_journal(path: Union[str, Path]) -> JournalData:
+    """Read a journal file a crash may have cut short; never raises.
+
+    A final line without its newline is a partial write: it is dropped
+    and the result marked ``torn``, as is everything from the first
+    defective line on.  Seq gaps are not checked.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8", "replace")
+    except OSError:
+        return JournalData(header={}, records=[], torn=True)
+    lines = text.split("\n")
+    tail = lines.pop()  # what follows the last newline: a torn write
+    data = _parse(lines, strict=False)
+    data.torn = data.torn or bool(tail)
+    return data
+
+
+def read_header(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
+    """A journal file's header record (whatever its schema), from its
+    first line only; None when the file is unreadable or does not start
+    with one."""
+    try:
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            first = fh.readline()
+    except OSError:
+        return None
+    return _parse([first], strict=False).header or None
 
 
 # -- span-tree reconstruction -------------------------------------------------

@@ -244,6 +244,49 @@ def test_silent_worker_is_killed_charged_and_replaced(library, monkeypatch):
         daemon.shutdown(timeout=30.0)
 
 
+def test_wedged_worker_is_killed_after_its_spawner_has_exited(
+    library, monkeypatch, tmp_path
+):
+    """SIGKILL the spawner, then wedge its worker mid-job: the daemon
+    kills the worker through its pidfd and names that kill, the worker
+    has stopped before ``shutdown()`` returns, and the daemon -- with
+    socket, metrics listener, archive and ops journal on -- leaves the
+    process's descriptors as it found them."""
+    import repro.serve.daemon as daemon_mod
+
+    def wedged(machine, job, record, base_seed=0, progress=None):
+        progress(machine, None)
+        time.sleep(15)
+
+    monkeypatch.setattr(daemon_mod, "execute_job", wedged)
+    monkeypatch.setattr(daemon_mod, "_WORKER_GRACE_SECONDS", 0.2)
+    fds = sorted(os.listdir("/proc/self/fd"))
+    daemon = ServeDaemon(
+        library, min_workers=1, max_workers=1, warm_target=0,
+        socket_path=str(tmp_path / "d.sock"),
+        metrics_interval=3600.0, metrics_addr="127.0.0.1:0",
+        obs_dir=str(tmp_path / "obs"),
+        ops_journal=str(tmp_path / "ops.journal"),
+    )
+    daemon.start()
+    try:
+        workers = daemon.stats()["workers"]
+        (pid,) = workers["pids"]
+        os.kill(workers["spawner"], signal.SIGKILL)
+        qjob = daemon.submit({"app": "top", "scale": 1, "timeout": 0.3})
+        done = daemon.queue.wait_terminal(qjob.id, timeout=30.0)
+        assert done.state == "failed"
+        assert re.fullmatch(
+            rf"TimeoutError: worker pid {pid} sent nothing for \d+\.\ds "
+            r"and was killed by SIGKILL through its pidfd",
+            done.error,
+        ), done.error
+    finally:
+        daemon.shutdown(timeout=30.0)
+    assert not _running(pid)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
 def test_spawner_death_before_a_scale_up_keeps_the_daemon_serving(
     library, monkeypatch, tmp_path
 ):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.obs.store import ObsStore
 from repro.telemetry import (
     JOURNAL_SCHEMA,
     Journal,
@@ -13,6 +14,7 @@ from repro.telemetry import (
     load_journal,
     parse_journal,
 )
+from repro.telemetry.journal import recover_journal
 
 # JSON-safe payload values (journal lines are plain JSON)
 _values = st.one_of(
@@ -32,15 +34,44 @@ _appends = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(appends=_appends, meta=_payloads)
-def test_file_round_trip_is_lossless(tmp_path_factory, appends, meta):
-    path = tmp_path_factory.mktemp("journal") / "run.jsonl"
-    journal = Journal(path=path, meta=meta)
-    for kind, payload in appends:
-        journal.append(kind, **payload)
-    journal.close()
+#: the repo's three log writers
+_writers = st.sampled_from(["span", "trace", "archive"])
 
+
+def _write_log(writer, root, meta, appends):
+    """Write ``appends`` as one of the log writers does, and close it;
+    returns the file."""
+    if writer == "span":
+        journal = Journal(path=root / "run.jsonl", meta=meta)
+        for kind, payload in appends:
+            journal.append(kind, **payload)
+        journal.close()
+        return journal.path
+    store = ObsStore(root / "obs", meta=meta, clock=lambda: 1000.0)
+    if writer == "archive":
+        for kind, payload in appends:
+            # the one write path under the typed append_* methods
+            store._append(kind, **payload)
+        store.close()
+        return root / "obs" / "segments" / "seg-000001.jsonl"
+    # a worker's in-memory journal, drained in segments into the trace
+    # file, as the daemon and ``repro fleet --journal-dir`` forward it
+    worker = Journal()
+    trace = store.job_journal("trace", meta=meta)
+    for i, (kind, payload) in enumerate(appends):
+        worker.append(kind, **payload)
+        if i % 3 == 2:
+            trace.extend(*worker.drain_segment())
+    trace.extend(*worker.drain_segment())
+    trace.close()
+    store.close()
+    return trace.path
+
+
+@settings(max_examples=60, deadline=None)
+@given(appends=_appends, meta=_payloads, writer=_writers)
+def test_file_round_trip_is_lossless(tmp_path_factory, appends, meta, writer):
+    path = _write_log(writer, tmp_path_factory.mktemp("journal"), meta, appends)
     data = load_journal(path)
     assert data.schema == JOURNAL_SCHEMA
     assert data.meta == meta
@@ -50,6 +81,9 @@ def test_file_round_trip_is_lossless(tmp_path_factory, appends, meta):
         assert record["t"] == kind
         assert record["seq"] == seq
         assert {k: v for k, v in record.items() if k not in ("t", "seq")} == payload
+    # the tolerant read of a closed file is the strict one
+    recovered = recover_journal(path)
+    assert not recovered.torn and recovered.records == data.records
 
 
 @settings(max_examples=60, deadline=None)

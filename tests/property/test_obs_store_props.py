@@ -20,6 +20,7 @@ from repro.obs.store import (
     rebuild_alerts,
     rebuild_bank,
 )
+from repro.telemetry.journal import Journal, recover_journal
 
 _names = st.sampled_from(["serve.queue.depth", "serve.tenant.cycles", "m"])
 _labels = st.sampled_from(["", "acme", "initech"])
@@ -88,26 +89,66 @@ def test_compaction_preserves_the_60s_ring_exactly(
         assert cold == live, (name, label)
 
 
+def _write_crashed(writer, root, stream):
+    """``stream`` as one ``sample`` record per tick, written by one of
+    the repo's three log writers and left unclosed, as a crash leaves
+    it; returns the file, the records written and the writer's close."""
+    written, t = [], 1000.0
+    for seq, (name, label, step, value) in enumerate(stream, 1):
+        t += step
+        points = [[name, label, "tenant", t, value]]
+        written.append({"t": "sample", "seq": seq, "now": t, "points": points})
+    if writer == "archive":
+        store = ObsStore(root, clock=_Clock())
+        _drive(store, SeriesBank(), stream)
+        return max((root / "segments").iterdir()), written, store.close
+    if writer == "span":
+        root.mkdir(parents=True)
+        journal = Journal(path=root / "run.jsonl")
+        for record in written:
+            journal.append("sample", now=record["now"], points=record["points"])
+        journal.flush()  # a span journal's file holds what it flushed
+        return journal.path, written, journal.close
+    # a worker's journal forwarded in segments to the trace file
+    store = ObsStore(root, clock=_Clock())
+    store.close()
+    worker, trace = Journal(), store.job_journal("trace", meta={})
+    for i, record in enumerate(written):
+        worker.append("sample", now=record["now"], points=record["points"])
+        if i % 3 == 2:
+            trace.extend(*worker.drain_segment())
+    trace.extend(*worker.drain_segment())
+    return trace.path, written, trace.close
+
+
 @settings(max_examples=30, deadline=None)
-@given(stream=_streams, cut=st.integers(min_value=1, max_value=200))
+@given(
+    stream=_streams,
+    cut=st.integers(min_value=1, max_value=200),
+    writer=st.sampled_from(["span", "trace", "archive"]),
+)
 def test_torn_tail_loses_at_most_the_final_record(
-    tmp_path_factory, stream, cut
+    tmp_path_factory, stream, cut, writer
 ):
     root = tmp_path_factory.mktemp("obs") / "store"
-    store = ObsStore(root, clock=_Clock())
-    bank = SeriesBank()
-    _drive(store, bank, stream)
+    path, written, close = _write_crashed(writer, root, stream)
     # crash: never closed; then tear the final line mid-record (keep at
     # least one byte and never the trailing newline, so the tail is torn)
-    segment = max((root / "segments").iterdir())
-    raw = segment.read_bytes()
+    raw = path.read_bytes()
     body = raw.rstrip(b"\n")
     last_nl = body.rfind(b"\n")
     line_len = len(body) - last_nl - 1
     keep = 1 + (cut % line_len)
-    segment.write_bytes(raw[: last_nl + 1 + keep])
-    archive = read_archive(root)
-    store.close()  # only after the read, which saw no footer
+    path.write_bytes(raw[: last_nl + 1 + keep])
+    recovered = recover_journal(path)
+    archive = read_archive(root) if writer == "archive" else None
+    close()  # only after the reads, which saw no footer
+    # every writer: the one reader keeps exactly what preceded the tear
+    assert recovered.torn
+    assert len(recovered.records) >= len(stream) - 1
+    assert recovered.records == written[: len(recovered.records)]
+    if archive is None:
+        return
     assert archive.torn_segments == 1
     assert archive.sample_count() >= len(stream) - 1
     # everything before the tear replays exactly

@@ -235,6 +235,15 @@ def test_spawner_exit_is_a_notice_not_a_job_row():
     assert view.jobs == {}
 
 
+
+def test_unknown_event_adds_no_job_row():
+    view = LiveFleetView()
+    view.expect("top#0", app="top")
+    before = view.render(now=0.0)
+    assert view.update({"type": "some-new-daemon-event", "pid": 1}) == []
+    assert list(view.jobs) == ["top#0"]
+    assert view.render(now=0.0) == before
+
 # ---------------------------------------------------------------------------
 # the ctl top frame (pure formatter over the metrics op response)
 # ---------------------------------------------------------------------------

@@ -464,6 +464,42 @@ def test_metrics_sampling_fires_queue_saturation(
     assert "queue-saturation" in narrative
 
 
+def test_each_alert_transition_is_archived_once(
+    serve_library, monkeypatch, tmp_path
+):
+    """An alert transition reaches the archive as one ``alert`` record,
+    not also as a lifecycle ``event``; the live stream still has it."""
+    from repro.obs.metrics import AlertCondition, AlertRule
+    from repro.obs.store import read_archive
+
+    always = AlertRule(
+        name="always",
+        condition=AlertCondition("serve.queue.depth", ">=", 0.0),
+        for_samples=1,
+    )
+    daemon = _daemon(
+        serve_library, monkeypatch, _finishes,
+        metrics_interval=3600.0,
+        alert_rules=[always],
+        obs_dir=str(tmp_path / "obs"),
+    )
+    try:
+        deadline = time.monotonic() + 5.0
+        while not _events(daemon, "alert") and time.monotonic() < deadline:
+            time.sleep(0.01)
+    finally:
+        daemon.shutdown(timeout=5.0)
+    live = [(e["rule"], e["state"]) for e in _events(daemon, "alert")]
+    assert live == [("always", "firing")]
+    archive = read_archive(tmp_path / "obs")
+    archived = [(a["rule"], a["state"]) for a in archive.alerts] + [
+        (e["event"]["rule"], e["event"]["state"])
+        for e in archive.events
+        if e["event"]["type"] == "alert"
+    ]
+    assert archived == live
+
+
 def test_metrics_text_exposes_registry_and_series(serve_library, monkeypatch):
     daemon = _daemon(serve_library, monkeypatch, _finishes)
     try:
