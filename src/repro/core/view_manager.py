@@ -1,14 +1,20 @@
 """Kernel view construction (Section III-B1).
 
 A :class:`KernelView` is a set of host frames shadowing the guest's
-kernel code pages.  Views are built copy-on-write: every covered page of
-a fresh view maps to the single machine-wide canonical ``UD2`` frame
-(``0f 0b`` repeated from the page base, so even offsets hold ``0f``);
-loading a fully-profiled page simply adopts the original guest frame;
-only pages that end up *partially* filled materialize a private frame.
-The refcounted bookkeeping and the write barrier that keeps this honest
-live in :class:`repro.memory.physmem.SharedFrameStore` -- view build is
-O(profiled bytes), not O(kernel size).
+kernel code pages.  A view build is a *plan* and its application.  The
+plan (:class:`ViewPlan`) takes one code region's profiled ranges, widens
+them to whole functions, merges them and lays them out per page: the
+pages covered whole, each partly covered page with its byte spans, and
+the loaded byte count.  Applying it (:meth:`KernelView.add_region`) maps
+every page the merged functions cover whole to the original guest frame,
+gives each partly covered page one fresh private frame written once (the
+``UD2`` fill -- ``0f 0b`` repeated from the page base, so even offsets
+hold ``0f`` -- with the original spans read from this machine's memory),
+and maps every other page to the single machine-wide canonical ``UD2``
+frame.  The refcounted bookkeeping and the write barriers that keep the
+sharing honest live in :class:`repro.memory.physmem.SharedFrameStore`;
+recovery and the barriers still materialize and fill pages one at a
+time (:meth:`KernelView.copy_original`, :meth:`KernelView.materialize_page`).
 
 Function widening follows the paper exactly: starting from a marked
 basic block, scan backwards and forwards for the function header
@@ -20,6 +26,10 @@ costs one linear scan per region plus a bisect per range.  The memo
 belongs to the machine (``Machine.boundary_finder``): snapshot capture
 scans every code region once (:meth:`ViewBuilder.index_code`), and every
 fork inherits the index instead of rescanning the kernel text per job.
+Each region's entry also memoizes the plans built from it.  A snapshot's
+template and all its forks share the entries, so every fork of a
+snapshot reuses a plan another fork made, and a rescan starts an entry
+with no plans.  Plans hold addresses only, never page bytes.
 
 Installing a view re-points EPT entries for the covered guest-physical
 pages at the view's frames; uninstalling restores identity mappings.
@@ -29,10 +39,11 @@ from __future__ import annotations
 
 import copy
 from bisect import bisect_right, insort
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.kernel_view import KernelViewConfig
-from repro.core.rangelist import BASE_KERNEL
+from repro.core.rangelist import BASE_KERNEL, RangeList
 from repro.isa.opcodes import PROLOGUE_SIGNATURE, UD2_BYTES
 from repro.memory.ept import ExtendedPageTable
 from repro.memory.layout import KERNEL_BASE, PAGE_SIZE
@@ -41,9 +52,85 @@ from repro.memory.physmem import PhysicalMemory
 #: Function alignment produced by -falign-functions.
 FUNCTION_ALIGN = 16
 
+#: plans memoized per prologue-index entry; a full memo is cleared
+#: wholesale, as ``jit.PROMOTED`` is
+_MAX_PLANS = 64
+
+#: a page of UD2 fill, the base of every partly covered page
+_UD2_PAGE = UD2_BYTES * (PAGE_SIZE // len(UD2_BYTES))
+
 
 def gva_to_gpa(gva: int) -> int:
     return gva - KERNEL_BASE
+
+
+@dataclass(frozen=True)
+class ViewPlan:
+    """One code region's part of a view, laid out per page.
+
+    Made by :meth:`FunctionBoundaryFinder.plan` from a profile's ranges,
+    widened to whole functions unless the III-B1 ablation is on.  It
+    holds addresses only: the bytes are read from the machine the plan
+    is applied to (:meth:`KernelView.add_region`).
+    """
+
+    #: gpfns the merged spans cover whole (they adopt the original frame)
+    whole: Tuple[int, ...] = ()
+    #: ``(gpfn, ((begin, end), ...))`` for each partly covered page: the
+    #: page-offset spans that hold original bytes, in order
+    partial: Tuple[Tuple[int, Tuple[Tuple[int, int], ...]], ...] = ()
+    #: bytes the merged spans load, each counted once
+    loaded_bytes: int = 0
+
+    @classmethod
+    def from_spans(
+        cls, spans: Iterable[Tuple[int, int]], region: Tuple[int, int]
+    ) -> "ViewPlan":
+        """Merge guest-virtual ``spans`` and lay them out on the pages of
+        ``region``; bytes outside the region's pages are not loaded."""
+        low = gva_to_gpa(region[0]) & ~(PAGE_SIZE - 1)
+        high = (gva_to_gpa(region[1]) + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1)
+        merged = RangeList(
+            (max(gva_to_gpa(begin), low), min(gva_to_gpa(end), high))
+            for begin, end in spans
+        )
+        whole: List[int] = []
+        partial: Dict[int, List[Tuple[int, int]]] = {}
+        loaded = 0
+        for begin, end in merged:
+            loaded += end - begin
+            addr = begin
+            while addr < end:
+                gpfn = addr >> 12
+                offset = addr & (PAGE_SIZE - 1)
+                chunk = min(PAGE_SIZE - offset, end - addr)
+                if chunk == PAGE_SIZE:
+                    whole.append(gpfn)
+                else:
+                    partial.setdefault(gpfn, []).append((offset, offset + chunk))
+                addr += chunk
+        return cls(
+            whole=tuple(whole),
+            partial=tuple((gpfn, tuple(page)) for gpfn, page in partial.items()),
+            loaded_bytes=loaded,
+        )
+
+
+#: the plan of a region with no profiled code: every page is UD2
+EMPTY_PLAN = ViewPlan()
+
+
+class _RegionIndex:
+    """One code region's prologue index and the plans built from it."""
+
+    __slots__ = ("epoch", "prologues", "plans")
+
+    def __init__(self, epoch: int, prologues: List[int]) -> None:
+        self.epoch = epoch
+        #: sorted aligned prologue gvas
+        self.prologues = prologues
+        #: ``(widen, ranges)`` -> the :class:`ViewPlan` built from them
+        self.plans: Dict[Tuple[bool, Tuple[Tuple[int, int], ...]], ViewPlan] = {}
 
 
 class FunctionBoundaryFinder:
@@ -52,42 +139,39 @@ class FunctionBoundaryFinder:
     ``containing_function`` used to probe guest memory at every 16-byte
     candidate for every profiled range; the finder now pre-scans each
     region once into a sorted prologue list and answers queries with a
-    bisect.  The memo is invalidated when any frame feeding it is
-    written (``PhysicalMemory.code_epoch``).
+    bisect.  Each region's entry also memoizes the view plans built on
+    its prologues (:meth:`plan`).  An entry is dropped, plans and all,
+    when any frame feeding it is written (``PhysicalMemory.code_epoch``).
     """
 
     def __init__(self, physmem: PhysicalMemory) -> None:
         self.physmem = physmem
-        #: (region_start, region_end) -> (code_epoch, sorted prologue gvas)
-        self._prologues: Dict[Tuple[int, int], Tuple[int, List[int]]] = {}
+        #: (region_start, region_end) -> the region's index entry
+        self._prologues: Dict[Tuple[int, int], _RegionIndex] = {}
 
     def __deepcopy__(self, memo) -> "FunctionBoundaryFinder":
         # a snapshot fork: prologue lists are never mutated once built,
-        # so the clone shares them; the memo dict is its own, since a
-        # clone whose code is patched rescans
+        # so the clone shares the entries, and with them their plans;
+        # the dict is its own, since a clone whose code is patched
+        # rescans into a fresh entry
         clone = FunctionBoundaryFinder.__new__(FunctionBoundaryFinder)
         memo[id(self)] = clone
         clone.physmem = copy.deepcopy(self.physmem, memo)
         clone._prologues = dict(self._prologues)
         return clone
 
-    def _signature_at(self, gva: int) -> bool:
-        return (
-            self.physmem.read(gva_to_gpa(gva), len(PROLOGUE_SIGNATURE))
-            == PROLOGUE_SIGNATURE
-        )
+    def _entry(self, region_start: int, region_end: int) -> _RegionIndex:
+        cached = self._prologues.get((region_start, region_end))
+        if cached is not None and cached.epoch == self.physmem.code_epoch:
+            return cached
+        return self._scan(region_start, region_end)
 
     def _prologue_index(self, region_start: int, region_end: int) -> List[int]:
         if region_end <= region_start:
             return []
-        key = (region_start, region_end)
-        epoch = self.physmem.code_epoch
-        cached = self._prologues.get(key)
-        if cached is not None and cached[0] == epoch:
-            return cached[1]
-        return self._scan(region_start, region_end)
+        return self._entry(region_start, region_end).prologues
 
-    def _scan(self, region_start: int, region_end: int) -> List[int]:
+    def _scan(self, region_start: int, region_end: int) -> _RegionIndex:
         sig = PROLOGUE_SIGNATURE
         gpa_start = gva_to_gpa(region_start)
         # per-candidate probes read up to len(sig)-1 bytes past
@@ -107,8 +191,9 @@ class FunctionBoundaryFinder:
             if (region_start + pos) % FUNCTION_ALIGN == 0:
                 addrs.append(region_start + pos)
             pos = data.find(sig, pos + 1)
-        self._prologues[(region_start, region_end)] = (epoch, addrs)
-        return addrs
+        entry = _RegionIndex(epoch, addrs)
+        self._prologues[(region_start, region_end)] = entry
+        return entry
 
     def containing_function(
         self, addr: int, region_start: int, region_end: int
@@ -125,6 +210,41 @@ class FunctionBoundaryFinder:
         start = index[i - 1] if i > 0 else region_start
         end = index[i] if i < len(index) else region_end
         return start, end
+
+    def plan(
+        self,
+        region: Tuple[int, int],
+        ranges: Iterable[Tuple[int, int]],
+        widen: bool = True,
+    ) -> ViewPlan:
+        """The :class:`ViewPlan` that loads ``ranges`` into ``region``,
+        each widened to the whole functions it touches unless ``widen``
+        is off.
+
+        Memoized in the region's index entry, keyed by the ranges, so a
+        profile is widened and laid out once per snapshot.
+        """
+        region_start, region_end = region
+        if region_end <= region_start:
+            return EMPTY_PLAN
+        plans = self._entry(region_start, region_end).plans
+        key = (widen, tuple(ranges))
+        plan = plans.get(key)
+        if plan is None:
+            spans = key[1]
+            if widen:
+                spans = [
+                    (
+                        self.containing_function(begin, *region)[0],
+                        self.containing_function(max(begin, end - 1), *region)[1],
+                    )
+                    for begin, end in spans
+                ]
+            plan = ViewPlan.from_spans(spans, region)
+            if len(plans) >= _MAX_PLANS:
+                plans.clear()
+            plans[key] = plan
+        return plan
 
 
 class KernelView:
@@ -160,17 +280,41 @@ class KernelView:
 
     # -- construction -----------------------------------------------------------
 
-    def add_region(self, region_start: int, region_end: int) -> None:
-        """Cover a guest code region, CoW-shared with the canonical frame."""
+    def add_region(
+        self, region_start: int, region_end: int, plan: ViewPlan = EMPTY_PLAN
+    ) -> None:
+        """Cover a guest code region and load ``plan`` into it.
+
+        Pages the plan covers whole adopt the original guest frame, each
+        partly covered page gets a fresh private frame written once, and
+        every other page shares the canonical UD2 frame.
+        """
         first = gva_to_gpa(region_start) >> 12
         last = (gva_to_gpa(region_end) + PAGE_SIZE - 1) >> 12
         if last <= first:
             return
-        store = self.physmem.shared
+        physmem = self.physmem
+        store = physmem.shared
+        frames = self.frames
         canonical = store.canonical_ud2_frame(UD2_BYTES)
         for gpfn in range(first, last):
-            self.frames[gpfn] = canonical
-            store.share(self, gpfn, canonical)
+            frames[gpfn] = canonical
+        for gpfn in plan.whole:
+            frames[gpfn] = gpfn
+        hpfns = physmem.allocate_frames(len(plan.partial))
+        for hpfn, (gpfn, spans) in zip(hpfns, plan.partial):
+            original = physmem.read(gpfn << 12, PAGE_SIZE)
+            page = bytearray(_UD2_PAGE)
+            for begin, end in spans:
+                page[begin:end] = original[begin:end]
+            physmem.write(hpfn << 12, page)
+            frames[gpfn] = hpfn
+        private = self._private
+        private.update(gpfn for gpfn, _ in plan.partial)
+        for gpfn in range(first, last):
+            if gpfn not in private:
+                store.share(self, gpfn, frames[gpfn])
+        self.loaded_bytes += plan.loaded_bytes
         self.regions.append((region_start, region_end))
         insort(self._sorted_regions, (region_start, region_end))
         self._region_begins = [begin for begin, _ in self._sorted_regions]
@@ -221,37 +365,13 @@ class KernelView:
         for ept in self.installed_epts:
             ept.map_frame(gpfn, gpfn)
 
-    def load_function_ranges(
-        self,
-        ranges: Iterable[Tuple[int, int]],
-        region: Tuple[int, int],
-        widen: bool = True,
-    ) -> None:
-        """Copy profiled ranges in, widened to whole functions by default.
-
-        ``widen=False`` loads the raw basic-block ranges instead -- the
-        ablation of the paper's III-B1 relaxation.  Expect both more
-        recovery traps (adjacent same-function code is missing) and
-        split-UD2 hazards at odd range boundaries.
-        """
-        region_start, region_end = region
-        for begin, end in ranges:
-            if not widen:
-                self.copy_original(begin, end)
-                continue
-            fn_start, _ = self.finder.containing_function(
-                begin, region_start, region_end
-            )
-            _, fn_end = self.finder.containing_function(
-                max(begin, end - 1), region_start, region_end
-            )
-            self.copy_original(fn_start, fn_end)
-
     def copy_original(self, start: int, end: int) -> None:
-        """Load original guest bytes ``[start, end)`` into the view.
+        """Load original guest bytes ``[start, end)`` into a built view
+        (recovery's FETCH_FILL_CODE).
 
         Whole pages adopt the original guest frame outright (no copy);
-        partial pages materialize a private frame on first touch.
+        partial pages materialize a private frame on first touch.  Every
+        chunk copied counts towards ``loaded_bytes``.
         """
         addr = start
         while addr < end:
@@ -338,10 +458,13 @@ class KernelView:
 class ViewBuilder:
     """Builds :class:`KernelView` objects from configs + guest state.
 
-    ``widen=False`` disables the whole-function loading relaxation
-    (ablation of Section III-B1).  Every view shares the machine's
-    :class:`FunctionBoundaryFinder`, so prologue scans are amortized
-    machine-wide -- and, through snapshot capture, across forks.
+    ``widen=False`` loads the raw basic-block ranges instead of whole
+    functions -- the ablation of the paper's III-B1 relaxation.  Expect
+    both more recovery traps (adjacent same-function code is missing)
+    and split-UD2 hazards at odd range boundaries.  Every view shares
+    the machine's :class:`FunctionBoundaryFinder`, so prologue scans and
+    view plans are amortized machine-wide -- and, through snapshot
+    capture, across forks.
     """
 
     def __init__(self, machine, widen: bool = True) -> None:
@@ -368,43 +491,41 @@ class ViewBuilder:
         for _, (start, end) in self.code_regions():
             self.finder._prologue_index(start, end)
 
+    def _plan(
+        self, name: str, region: Tuple[int, int], config: KernelViewConfig
+    ) -> ViewPlan:
+        """The plan of the profile's segment ``name`` in ``region``."""
+        ranges = config.profile.segments.get(name)
+        if ranges is None:
+            return EMPTY_PLAN
+        if name != BASE_KERNEL:
+            # module ranges are relative to the module's load base
+            base = region[0]
+            ranges = [(base + begin, base + end) for begin, end in ranges]
+        return self.finder.plan(region, ranges, widen=self.widen)
+
     def build(self, index: int, config: KernelViewConfig) -> KernelView:
         view = KernelView(
             index, config, self.machine.physmem, finder=self.finder
         )
         for name, region in self.code_regions():
-            view.add_region(*region)
-            ranges = config.profile.segments.get(name)
-            if ranges is None:
-                continue
-            if name != BASE_KERNEL:
-                # module ranges are relative to the module's load base
-                base = region[0]
-                ranges = [(base + begin, base + end) for begin, end in ranges]
-            view.load_function_ranges(ranges, region, widen=self.widen)
+            view.add_region(*region, self._plan(name, region, config))
         return view
 
     def extend_for_module(self, view: KernelView, name: str) -> None:
-        """Cover a newly loaded module with UD2 frames (no profiled code).
+        """Cover a module loaded after the view was built.
 
-        Called when a module appears after the view was built; any use of
-        the module's code by the view's application will surface through
-        the recovery log -- exactly the rootkit-detection property of the
+        Its pages are UD2 frames, apart from what the view's profile
+        holds for a module of that name.  Any other use of the module's
+        code by the view's application will surface through the
+        recovery log -- exactly the rootkit-detection property of the
         paper's Section IV-A2.
         """
         introspector = self.machine.introspector
         for module in introspector.read_module_list():
             if module.name != name:
                 continue
-            region_start = module.base
-            region_end = module.base + module.size
-            if view.region_of(region_start) is None:
-                view.add_region(region_start, region_end)
-                rel_ranges = view.config.profile.segments.get(name)
-                if rel_ranges is not None:
-                    absolute = [
-                        (region_start + begin, region_start + end)
-                        for begin, end in rel_ranges
-                    ]
-                    view.load_function_ranges(absolute, (region_start, region_end))
+            region = (module.base, module.base + module.size)
+            if view.region_of(module.base) is None:
+                view.add_region(*region, self._plan(name, region, view.config))
             return

@@ -49,10 +49,13 @@ class ProfileLibraryError(Exception):
 def _frame_deltas(profile: KernelProfile) -> Dict[str, List[List[int]]]:
     """Per-page byte spans of each segment: ``[page, begin, end]`` rows.
 
-    This is exactly the set of partial-page deltas a
-    :class:`~repro.core.view_manager.KernelView` materializes over the
-    canonical UD2 frame; storing it alongside the ranges documents the
-    frame-level footprint and gives loads a redundant integrity check.
+    These are the raw profiled ranges cut at page boundaries; storing
+    them alongside the ranges documents the profile's frame-level
+    footprint and gives loads a redundant integrity check.  They are not
+    the pages a :class:`~repro.core.view_manager.KernelView` fills: a
+    view widens the ranges to whole functions first
+    (:class:`~repro.core.view_manager.ViewPlan`), which can cover a page
+    whole or reach a page no row names.
     """
     deltas: Dict[str, List[List[int]]] = {}
     for name, ranges in sorted(profile.segments.items()):

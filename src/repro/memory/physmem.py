@@ -26,11 +26,13 @@ class PhysicalMemoryError(Exception):
 class SharedFrameStore:
     """Refcounted frames shared copy-on-write between kernel views.
 
-    Fresh views do not copy anything: every unprofiled page maps to one
+    Views copy only what they must: every unprofiled page maps to one
     canonical all-UD2 frame, and every fully-loaded page maps straight to
-    the original guest frame.  A private frame is materialized only when
-    a partially-filled page is first written (``KernelView.copy_original``
-    or the recovery path), via the write barrier below.
+    the original guest frame.  A view build gives each partially-filled
+    page a private frame, written once (``KernelView.add_region``);
+    afterwards a shared page is materialized privately only when it is
+    first written, by recovery (``KernelView.copy_original``) or through
+    the write barrier below.
 
     The store tracks, per guest frame number, which views currently hold
     a shared mapping so the barrier can find the view whose copy must be

@@ -8,28 +8,43 @@ profiled range set,
 * every byte outside the widened functions is UD2 fill -- no extra code
   leaks into the attack surface;
 * function widening never extends past the containing function's
-  aligned-prologue boundaries.
+  aligned-prologue boundaries;
+* the planned build (one write per partly covered page) gives every
+  covered page the bytes the per-range build gives, and backs each page
+  with the frame its merged spans call for.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.kernel_view import KernelViewConfig
-from repro.core.rangelist import BASE_KERNEL, KernelProfile
+from repro.core.rangelist import BASE_KERNEL, KernelProfile, RangeList
 from repro.core.view_manager import (
     FUNCTION_ALIGN,
     FunctionBoundaryFinder,
+    KernelView,
     ViewBuilder,
     gva_to_gpa,
 )
 from repro.guest.machine import boot_machine
-from repro.isa.opcodes import PROLOGUE_SIGNATURE
+from repro.isa.opcodes import PROLOGUE_SIGNATURE, UD2_BYTES
 from repro.memory.layout import KERNEL_BASE, PAGE_SIZE
 from repro.memory.physmem import PhysicalMemory
 
 _MACHINE = boot_machine()
 _TEXT = (_MACHINE.image.text_start, _MACHINE.image.text_end)
 _SPAN = _TEXT[1] - _TEXT[0]
+#: segment -> (start, end) of every code region a view covers
+_REGIONS = dict(ViewBuilder(_MACHINE).code_regions())
+#: segment -> the functions laid out in its region
+_FUNCTIONS = {
+    name: [
+        symbol
+        for symbol in _MACHINE.image._sorted_symbols
+        if (symbol.module or BASE_KERNEL) == name and symbol.size >= 2
+    ]
+    for name in _REGIONS
+}
 
 profiled_ranges = st.lists(
     st.tuples(
@@ -106,8 +121,131 @@ def test_view_size_accounting(ranges):
         assert view.loaded_bytes >= profile.size
         total_pages = len(view.frames)
         assert view.loaded_bytes <= total_pages * PAGE_SIZE
+        # each loaded byte counts once, however many ranges share its
+        # function
+        finder = FunctionBoundaryFinder(_MACHINE.physmem)
+        widened = RangeList()
+        for begin, end in profile.segments.get(BASE_KERNEL, []):
+            f_begin, _ = finder.containing_function(begin, *_TEXT)
+            _, f_end = finder.containing_function(end - 1, *_TEXT)
+            widened.add(f_begin, f_end)
+        assert view.loaded_bytes == widened.size
     finally:
         view.free()
+
+
+# -- planned build vs the per-range build ----------------------------------
+
+
+def _reach(name):
+    """The guest addresses a segment's ranges may reach: up to two pages
+    beyond its region, but not into the pages of another region, where
+    the per-range build's result depends on the order regions are
+    added."""
+    start, end = _REGIONS[name]
+    others = [region for other, region in _REGIONS.items() if other != name]
+    low = max(
+        [start - 2 * PAGE_SIZE]
+        + [(e + PAGE_SIZE - 1) & ~(PAGE_SIZE - 1) for _, e in others if e <= start]
+    )
+    high = min(
+        [end + 2 * PAGE_SIZE]
+        + [b & ~(PAGE_SIZE - 1) for b, _ in others if b >= end]
+    )
+    return low, high
+
+
+@st.composite
+def segment_profiles(draw):
+    """A profile of one segment (module segments module-relative):
+    random ranges, several ranges in one function, and ranges at the
+    region's edges, some running past them (never into the pages of
+    another region)."""
+    name = draw(st.sampled_from(sorted(_REGIONS)))
+    start, end = _REGIONS[name]
+    low, high = _reach(name)
+    base = 0 if name == BASE_KERNEL else start
+    profile = KernelProfile()
+    kinds = st.sampled_from(["anywhere", "one-function", "start-edge", "end-edge"])
+    for kind in draw(st.lists(kinds, min_size=1, max_size=6)):
+        if kind == "one-function":
+            fn = draw(st.sampled_from(_FUNCTIONS[name]))
+            fn_end = fn.address + fn.size
+            ranges = []
+            for _ in range(draw(st.integers(2, 4))):
+                begin = draw(st.integers(fn.address, fn_end - 1))
+                ranges.append((begin, draw(st.integers(begin + 1, fn_end))))
+        elif kind == "start-edge":
+            begin = draw(st.integers(max(start - 64, low), start + 64))
+            ranges = [(begin, begin + draw(st.integers(1, 2 * PAGE_SIZE)))]
+        elif kind == "end-edge":
+            begin = draw(st.integers(max(end - 2 * PAGE_SIZE, start), end - 1))
+            ranges = [(begin, begin + draw(st.integers(1, 2 * PAGE_SIZE)))]
+        else:
+            begin = draw(st.integers(start, end - 1))
+            ranges = [(begin, begin + draw(st.integers(1, 800)))]
+        for begin, stop in ranges:
+            profile.add(name, begin - base, min(stop, high) - base)
+    return profile
+
+
+def _per_range_build(config, widen):
+    """The per-range build, the oracle: cover each region with the
+    canonical frame, then widen each profiled range through
+    ``containing_function`` and ``copy_original`` it on its own.
+    Returns the view and the union of its widened ranges."""
+    finder = FunctionBoundaryFinder(_MACHINE.physmem)
+    view = KernelView(0, config, _MACHINE.physmem, finder)
+    widened = RangeList()
+    for name, region in ViewBuilder(_MACHINE).code_regions():
+        view.add_region(*region)
+        ranges = config.profile.segments.get(name)
+        if ranges is None:
+            continue
+        base = 0 if name == BASE_KERNEL else region[0]
+        for begin, end in ranges:
+            begin, end = base + begin, base + end
+            if widen:
+                fn_start, _ = finder.containing_function(begin, *region)
+                _, end = finder.containing_function(max(begin, end - 1), *region)
+                begin = fn_start
+            view.copy_original(begin, end)
+            widened.add(begin, end)
+    return view, widened
+
+
+def _page_bytes(hpfn):
+    return _MACHINE.physmem.read(hpfn << 12, PAGE_SIZE)
+
+
+@given(segment_profiles(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_planned_build_equals_the_per_range_build(profile, widen):
+    config = KernelViewConfig("plan", profile)
+    planned = ViewBuilder(_MACHINE, widen=widen).build(0, config)
+    oracle, widened = _per_range_build(config, widen)
+    store = _MACHINE.physmem.shared
+    canonical = store.canonical_ud2_frame(UD2_BYTES)
+    try:
+        assert planned.frames.keys() == oracle.frames.keys()
+        loaded = 0
+        for gpfn, hpfn in planned.frames.items():
+            assert _page_bytes(hpfn) == _page_bytes(oracle.frames[gpfn])
+            page = KERNEL_BASE + (gpfn << 12)
+            covered = widened.intersect(RangeList([(page, page + PAGE_SIZE)])).size
+            loaded += covered
+            if covered == PAGE_SIZE:
+                assert hpfn == gpfn
+            elif covered:
+                assert gpfn in planned._private
+                assert hpfn >= _MACHINE.physmem.guest_frames
+                assert not store.is_shared(hpfn)
+            else:
+                assert hpfn == canonical
+        assert planned.loaded_bytes == loaded
+    finally:
+        planned.free()
+        oracle.free()
 
 
 # -- prologue scan ----------------------------------------------------------

@@ -11,11 +11,17 @@ from repro.apps.catalog import APP_CATALOG
 from repro.core.facechange import FaceChange
 from repro.core.kernel_view import KernelViewConfig
 from repro.core.rangelist import BASE_KERNEL, KernelProfile
-from repro.core.view_manager import FunctionBoundaryFinder, ViewBuilder, gva_to_gpa
+from repro.core.view_manager import (
+    FUNCTION_ALIGN,
+    FunctionBoundaryFinder,
+    ViewBuilder,
+    gva_to_gpa,
+)
 from repro.fleet.jobs import execute_job, profile_app_offline
 from repro.fleet.snapshot import MachineSnapshot, SnapshotError
 from repro.fleet.spec import FleetJob
 from repro.guest.machine import boot_machine
+from repro.isa.opcodes import PROLOGUE_SIGNATURE, UD2_BYTES
 from repro.kernel.runtime import Platform
 from repro.malware import ALL_ATTACKS
 from repro.memory.layout import KERNEL_BASE, KERNEL_TEXT_BASE, PAGE_SHIFT, PAGE_SIZE
@@ -187,6 +193,89 @@ def test_forks_inherit_the_prologue_index(monkeypatch, snapshot):
     del scans[:]
     ViewBuilder(snapshot.fork()).build(0, config)
     assert scans == []
+
+
+def _view_state(machine, view):
+    """What a view build leaves behind: the view's frames, private
+    pages, page bytes and byte count, and its machine's frame allocator
+    and shared-frame refcounts."""
+    physmem = machine.physmem
+    return (
+        dict(view.frames),
+        set(view._private),
+        _view_pages(machine, view),
+        view.loaded_bytes,
+        physmem._next_hypervisor_frame,
+        dict(physmem.shared.refs),
+    )
+
+
+def test_forks_of_a_snapshot_reuse_its_view_plans(monkeypatch, snapshot):
+    """A profile is widened and laid out once per snapshot: a second
+    fork builds the first fork's view from its plan, without a single
+    function-boundary lookup."""
+    lookups = []
+    real = FunctionBoundaryFinder.containing_function
+
+    def counting(self, addr, region_start, region_end):
+        lookups.append(addr)
+        return real(self, addr, region_start, region_end)
+
+    monkeypatch.setattr(FunctionBoundaryFinder, "containing_function", counting)
+    first = snapshot.fork()
+    image = first.image
+    profile = KernelProfile()
+    start, end = image.function_range("vfs_write")
+    profile.add(BASE_KERNEL, start + 2, start + 6)
+    profile.add(BASE_KERNEL, end - 6, end - 2)  # the same function again
+    symbol = next(s for s in image._sorted_symbols if s.module)
+    base = image.modules[symbol.module].base
+    profile.add(symbol.module, symbol.address - base + 2, symbol.address - base + 6)
+    config = KernelViewConfig(app="plans", profile=profile)
+    state = _view_state(first, ViewBuilder(first).build(0, config))
+    assert lookups
+    del lookups[:]
+    second = snapshot.fork()
+    assert _view_state(second, ViewBuilder(second).build(0, config)) == state
+    assert lookups == []
+
+
+def _view_bytes(pages, addr, length):
+    offset = addr & (PAGE_SIZE - 1)
+    return pages[gva_to_gpa(addr) >> PAGE_SHIFT][offset : offset + length]
+
+
+def test_a_fork_whose_kernel_text_was_written_plans_afresh(snapshot):
+    """A write to a fork's kernel text drops the fork's prologue index
+    entry, plans and all: its view holds the written bytes and the
+    widening they imply, while the snapshot's other forks keep theirs."""
+    reference = snapshot.fork()
+    image = reference.image
+    text = (image.text_start, image.text_end)
+    start, end = image.function_range("vfs_read")
+    planted = (start + (end - start) // 2) & ~(FUNCTION_ALIGN - 1)
+    assert start < planted and planted + 16 < end
+    profile = KernelProfile()
+    profile.add(BASE_KERNEL, planted + 4, planted + 8)
+    config = KernelViewConfig(app="planted", profile=profile)
+    fn_start, fn_end = reference.boundary_finder.containing_function(
+        planted + 4, *text
+    )
+    assert fn_start == start
+    assert ViewBuilder(reference).build(0, config).loaded_bytes == fn_end - start
+
+    patched = snapshot.fork()
+    epoch = patched.physmem.code_epoch
+    patched.physmem.write(gva_to_gpa(planted), PROLOGUE_SIGNATURE)
+    assert patched.physmem.code_epoch > epoch
+    view = ViewBuilder(patched).build(0, config)
+    assert view.loaded_bytes == fn_end - planted
+    pages = _view_pages(patched, view)
+    assert _view_bytes(pages, planted, 3) == PROLOGUE_SIGNATURE
+    assert _view_bytes(pages, start, 2) == UD2_BYTES
+
+    sibling = snapshot.fork()
+    assert ViewBuilder(sibling).build(0, config).loaded_bytes == fn_end - start
 
 
 def test_module_hot_loaded_in_one_clone_stays_in_that_clone(snapshot):

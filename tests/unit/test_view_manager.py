@@ -109,6 +109,22 @@ class TestKernelView:
         assert view.covers(machine.image.address_of("schedule"))
         assert not view.covers(0xC9000000)
 
+    def test_two_ranges_in_one_function_load_it_once(self, machine):
+        image = machine.image
+        start, end = image.function_range("vfs_read")
+        view = build_view(
+            machine,
+            [(BASE_KERNEL, start + 8, start + 12), (BASE_KERNEL, end - 8, end - 4)],
+        )
+        finder = FunctionBoundaryFinder(machine.physmem)
+        fn_start, fn_end = finder.containing_function(
+            start + 8, image.text_start, image.text_end
+        )
+        assert (fn_start, fn_end) == finder.containing_function(
+            end - 5, image.text_start, image.text_end
+        )
+        assert view.loaded_bytes == fn_end - fn_start
+
     def test_copy_original_counts_bytes(self, machine):
         view = build_view(machine, [])
         before = view.loaded_bytes
