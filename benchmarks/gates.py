@@ -2,8 +2,8 @@
 """Benchmark gates: virtual-cycle scores stay put, host cost stays bounded.
 
 FACE-CHANGE's results are virtual-cycle scores (Tables I-II, Figures
-6-7).  Every host-side mechanism this reproduction adds -- tracing,
-journaling, sampling, the JIT, the fleet, the daemon and its archive --
+6-7).  Every host-side mechanism this reproduction adds -- the span
+journal, sampling, the JIT, the fleet, the daemon and its archive --
 must leave those scores bit-identical, and may cost only bounded host
 time.  :data:`SCENARIOS` declares each check once: its workload, its two
 modes, its gates and its one-off checks.
@@ -65,7 +65,7 @@ FLEET_WORKERS = 2
 PASS_TIMEOUT_S = 3600
 #: Environment variables a mode sets; a pass inherits none of them.
 MODE_VARS = (
-    "REPRO_JIT", "REPRO_TRACE", "REPRO_JOURNAL_DIR",
+    "REPRO_JIT", "REPRO_JOURNAL_DIR",
     "REPRO_SAMPLE_INTERVAL", "REPRO_PROBE_FUNCS",
 )
 #: Trace id pinned to each daemon pass's first request, so the archive
@@ -751,10 +751,11 @@ def matrix_checks(session: "Session", passes) -> List[Verdict]:
 
 
 INTERP = Mode("interp", suite_pass, env={"REPRO_JIT": "0"})
-TRACED = Mode("trace-interp", suite_pass, env={"REPRO_JIT": "0", "REPRO_TRACE": "1"})
+JOURNAL_INTERP = Mode("journal-interp", suite_pass,
+                      env={"REPRO_JIT": "0", "REPRO_JOURNAL_DIR": "."})
 JIT = Mode("jit", suite_pass)
 #: journals land in the pass's own fresh working directory
-JOURNAL = Mode("journal", suite_pass, env={"REPRO_TRACE": "1", "REPRO_JOURNAL_DIR": "."})
+JOURNAL = Mode("journal", suite_pass, env={"REPRO_JOURNAL_DIR": "."})
 SAMPLED = Mode("sampled", suite_pass,
                env={"REPRO_SAMPLE_INTERVAL": "20000", "REPRO_PROBE_FUNCS": PROBE_FUNCS})
 COLD = Mode("cold", cold_pass)
@@ -789,7 +790,7 @@ SERVE = Workload("serve-mix", {"jobs": SERVE_MIX})
 DRAIN = Workload("serve-mix-x3", {"jobs": SERVE_MIX * 3})
 
 SCENARIOS: Dict[str, Scenario] = {s.name: s for s in (
-    Scenario("telemetry", SUITE, (INTERP, TRACED), (Drift(0.02),)),
+    Scenario("telemetry", SUITE, (INTERP, JOURNAL_INTERP), (Drift(0.02),)),
     Scenario("switching", SUITE, (INTERP, JIT), (
         Identical("JIT = interpreter scores"),
         Ratio("JIT vs interpreter wall", "wall_s", INTERP, JIT, ">=", 2.0,

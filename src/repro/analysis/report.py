@@ -83,25 +83,29 @@ def _section_figure6(out: io.StringIO, configs, views: Sequence[int]) -> None:
 
 
 def _section_trace(out: io.StringIO, configs, scale: int) -> None:
-    """A traced quickstart run: the event timeline behind Figures 6/7."""
-    from repro.analysis.timeline import format_trace_report
+    """A recorded quickstart run: the causal chains behind Figures 6/7."""
     from repro.apps.base import launch
     from repro.apps.catalog import APP_CATALOG
     from repro.core.facechange import FaceChange
     from repro.guest.machine import boot_machine
     from repro.kernel.runtime import Platform
+    from repro.obs.forensics import render_journal_narrative
+    from repro.telemetry.export import format_counters
 
     app = "top"
     machine = boot_machine(platform=Platform.KVM)
-    machine.enable_tracing()
+    journal = machine.start_recording(meta={"app": app, "scale": scale})
     fc = FaceChange(machine)
     fc.enable()
     fc.load_view(configs[app], comm=app)
     handle = launch(machine, app, APP_CATALOG[app], scale=scale)
     handle.run_to_completion(max_cycles=200_000_000_000)
-    out.write("## Trace — telemetry timeline for one enforced run\n\n")
-    out.write(f"({app} under its kernel view, tracing enabled)\n\n```\n")
-    out.write(format_trace_report(machine.telemetry, fc.log, limit=60))
+    counters = format_counters(machine.telemetry)
+    machine.stop_recording()
+    out.write("## Trace — span journal of one enforced run\n\n")
+    out.write(f"({app} under its kernel view, flight recorder on)\n\n```\n")
+    out.write("== counters ==\n" + counters + "\n\n")
+    out.write(render_journal_narrative(journal.data(), limit=60))
     out.write("\n```\n\n")
 
 
@@ -152,7 +156,7 @@ def _section_caches(out: io.StringIO, configs, scale: int) -> None:
 
 
 def _section_observability(out: io.StringIO, configs, scale: int) -> None:
-    """Recorder accounting: trace-ring and journal drop visibility."""
+    """Recorder accounting: span-journal drop visibility."""
     from repro.apps.base import launch
     from repro.apps.catalog import APP_CATALOG
     from repro.core.facechange import FaceChange
@@ -169,14 +173,12 @@ def _section_observability(out: io.StringIO, configs, scale: int) -> None:
     handle = launch(machine, app, APP_CATALOG[app], scale=scale)
     handle.run_to_completion(max_cycles=200_000_000_000)
     trees = build_span_trees(journal.records())
-    trace = machine.telemetry.trace
     verdicts = machine.telemetry.labelled.get("recovery.verdicts")
     machine.stop_recording()
     out.write("## Observability — recorder accounting\n\n")
     out.write(f"(one enforced {app} run with the flight recorder on)\n\n")
     out.write("| instrument | recorded | dropped |\n")
     out.write("|---|---|---|\n")
-    out.write(f"| trace ring | {len(trace)} | {trace.dropped} |\n")
     out.write(f"| span journal | {journal.seq} | {journal.dropped} |\n")
     out.write(f"| causal chains | {len(trees)} | — |\n")
     if verdicts is not None and verdicts.values:
@@ -343,7 +345,7 @@ def generate_prometheus(
     handle = launch(machine, app, APP_CATALOG[app], scale=scale)
     handle.run_to_completion(max_cycles=200_000_000_000)
     return format_prometheus(
-        telemetry_snapshot(machine.telemetry, events=False), prefix="repro"
+        telemetry_snapshot(machine.telemetry), prefix="repro"
     )
 
 
@@ -357,14 +359,14 @@ def generate_report(
 ) -> str:
     """Run the evaluation and return the markdown report.
 
-    ``sections`` may also include ``"trace"`` for a telemetry timeline of
-    one enforced run, ``"observability"`` for recorder accounting,
-    ``"heat"`` for sampled hotness vs. view coverage, or ``"capacity"``
-    for post-hoc capacity planning over a serve daemon's ``--obs-dir``
-    archive (none are part of the default set: they narrate mechanism
-    rather than reproducing a paper figure).  Unknown section names
-    raise :class:`ValueError`; so does ``"capacity"`` without
-    ``obs_dir``.
+    ``sections`` may also include ``"trace"`` for the span-journal
+    narrative of one enforced run, ``"observability"`` for recorder
+    accounting, ``"heat"`` for sampled hotness vs. view coverage, or
+    ``"capacity"`` for post-hoc capacity planning over a serve daemon's
+    ``--obs-dir`` archive (none are part of the default set: they
+    narrate mechanism rather than reproducing a paper figure).  Unknown
+    section names raise :class:`ValueError`; so does ``"capacity"``
+    without ``obs_dir``.
     """
     if sections:
         unknown = sorted(set(sections) - KNOWN_SECTIONS)

@@ -8,7 +8,7 @@ Usage::
     python -m repro.cli httperf               # Figure 7 sweep
     python -m repro.cli profile top -o top.view.json
     python -m repro.cli profile top --library fleet-lib
-    python -m repro.cli trace top             # telemetry event timeline
+    python -m repro.cli trace top             # causal chains of one run
     python -m repro.cli fleet --apps top gzip --workers 2
 
 Every command returns a non-zero exit code on failure (unknown
@@ -235,14 +235,14 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 
 
 def _cmd_trace(args: argparse.Namespace) -> int:
-    """Quickstart run with tracing on, rendered as an event timeline."""
+    """Quickstart run with the flight recorder on, narrated from its journal."""
     from repro.analysis.similarity import profile_applications
-    from repro.analysis.timeline import format_trace_report
     from repro.apps.catalog import APP_CATALOG
     from repro.core.facechange import FaceChange
     from repro.guest.config import GuestConfigError
     from repro.guest.machine import boot_machine
-    from repro.telemetry import to_json
+    from repro.obs import chains_for_app, render_journal_narrative
+    from repro.telemetry import format_counters, to_json
 
     problem = _unknown_apps([args.app])
     if problem:
@@ -271,12 +271,10 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     config = profile_applications(apps=[args.app], scale=args.scale)[args.app]
     machine = boot_machine(config=guest)
     print(f"guest: {guest.label()} (digest {machine.guest_digest[:12]})")
-    if args.journal:
-        meta = {"app": args.app, "scale": args.scale}
-        if attack is not None:
-            meta["attack"] = attack.name
-        machine.start_recording(path=args.journal, meta=meta)
-    machine.enable_tracing()
+    meta = {"app": args.app, "scale": args.scale}
+    if attack is not None:
+        meta["attack"] = attack.name
+    journal = machine.start_recording(path=args.journal, keep=True, meta=meta)
     fc = FaceChange(machine)
     fc.enable()
     fc.load_view(config, comm=args.app)
@@ -285,7 +283,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     failed = False
     if attack is not None:
         print(f"running {args.app} infected with {attack.name} "
-              "under its kernel view (tracing on)...")
+              "under its kernel view (recording on)...")
         handle = attack.launch(machine, scale=args.scale)
         machine.run(
             until=lambda: handle.finished,
@@ -293,7 +291,7 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             step_budget=50_000,
         )
     else:
-        print(f"running {args.app} under its kernel view (tracing on)...")
+        print(f"running {args.app} under its kernel view (recording on)...")
         handle = launch(
             machine, args.app, APP_CATALOG[args.app], scale=args.scale
         )
@@ -303,16 +301,20 @@ def _cmd_trace(args: argparse.Namespace) -> int:
             print("error: workload did not finish within the cycle budget",
                   file=sys.stderr)
     print()
-    app_filter = args.app if args.app_only else None
-    print(format_trace_report(
-        machine.telemetry, fc.log, app=app_filter, limit=args.limit
-    ))
+    counters = format_counters(machine.telemetry)
+    if counters:
+        print("== counters ==\n" + counters + "\n")
     if args.output:
         with open(args.output, "w") as fh:
             fh.write(to_json(machine.telemetry))
+    machine.stop_recording()
+    data = journal.data()
+    if args.app_only:
+        data = chains_for_app(data, args.app)
+    print(render_journal_narrative(data, limit=args.limit))
+    if args.output:
         print(f"\nwrote telemetry snapshot to {args.output}")
     if args.journal:
-        machine.stop_recording()
         print(f"wrote span journal to {args.journal} "
               f"(render with: repro.cli forensics {args.journal})")
     return 1 if failed else 0
@@ -1100,21 +1102,23 @@ def main(argv: Optional[List[str]] = None) -> int:
     p.set_defaults(fn=_cmd_inspect)
 
     p = sub.add_parser(
-        "trace", help="run one app under its view with tracing, print timeline"
+        "trace",
+        help="run one app under its view, narrate its span journal",
     )
     p.add_argument("app", nargs="?", default="top")
     p.add_argument("-o", "--output", help="save the telemetry snapshot JSON")
     p.add_argument(
-        "--limit", type=int, default=200, help="max timeline rows (default 200)"
+        "--limit", type=int, default=200,
+        help="max causal chains shown (default 200)",
     )
     p.add_argument(
         "--app-only",
         action="store_true",
-        help="only show events attributable to the traced application",
+        help="only show chains attributable to the traced application",
     )
     p.add_argument(
         "--journal",
-        help="record a forensic span journal (JSONL) to this file",
+        help="also write the span journal (JSONL) to this file",
     )
     p.add_argument(
         "--attack",

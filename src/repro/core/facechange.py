@@ -180,7 +180,7 @@ class FaceChange:
         view = self.builder.build(index, config)
         self.switcher.register_view(view)
         self._selector_map[comm if comm is not None else config.app] = index
-        if self.telemetry.tracing:
+        if self.telemetry.recording:
             self.telemetry.emit(
                 "view_load",
                 cycles=self.machine.cycles,
@@ -199,7 +199,7 @@ class FaceChange:
         for comm in [c for c, i in self._selector_map.items() if i == index]:
             del self._selector_map[comm]
         view.free()
-        if self.telemetry.tracing:
+        if self.telemetry.recording:
             self.telemetry.emit(
                 "view_unload",
                 cycles=self.machine.cycles,
@@ -227,7 +227,7 @@ class FaceChange:
             self.builder.extend_for_module(view, name)
             for ept in list(view.installed_epts):
                 view.install(ept)  # map the new frames too
-        if self.telemetry.tracing:
+        if self.telemetry.recording:
             self.telemetry.emit(
                 "module_load",
                 cycles=self.machine.cycles,

@@ -113,9 +113,3 @@ class Profiler:
         if include_interrupts:
             merged.update(self.interrupt_profile)
         return KernelViewConfig(app=comm, profile=merged)
-
-    def export_all(self, include_interrupts: bool = True) -> Dict[str, KernelViewConfig]:
-        return {
-            comm: self.export(comm, include_interrupts)
-            for comm in self.profiles
-        }

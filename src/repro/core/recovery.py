@@ -131,7 +131,7 @@ class RecoveryEngine:
                 if recovered is not None:
                     instant.append(self._symbolize(recovered[0]))
                     self._instant.value += 1
-                    if self.telemetry.tracing:
+                    if self.telemetry.recording:
                         self.telemetry.emit(
                             "instant_recovery",
                             cycles=vcpu.cycles,
@@ -232,19 +232,6 @@ class RecoveryEngine:
                 unknown_frames=event.has_unknown_frames,
             )
             span.attrs.update(recovered=event.recovered, bytes=end - start)
-        if tel.tracing:
-            tel.emit(
-                "recovery",
-                cycles=event.cycles,
-                cpu=vcpu.cpu_id,
-                rip=exit_.rip,
-                recovered=event.recovered,
-                pid=event.pid,
-                comm=event.comm,
-                view_app=event.view_app,
-                in_interrupt=event.in_interrupt,
-                instant=len(instant),
-            )
         self.machine.hypervisor.charge(vcpu, RECOVERY_COST_CYCLES)
         # the fill went through copy_original's CoW path: a shared page
         # materialized a freshly-versioned private frame (or adopted the

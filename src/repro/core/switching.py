@@ -92,11 +92,6 @@ class ViewSwitcher:
                 self.last_index[cpu] = FULL_KERNEL_VIEW_INDEX
         self.views.pop(index, None)
 
-    @property
-    def current_view(self) -> Optional[KernelView]:
-        """CPU 0's live view (uniprocessor convenience)."""
-        return self.current_view_for(0)
-
     def current_view_for(self, cpu: int) -> Optional[KernelView]:
         return self.views.get(self.current_index[cpu])
 
@@ -109,7 +104,7 @@ class ViewSwitcher:
         index = self.selector(procinfo.comm)
         current = self.current_index[cpu]
         tel = self.telemetry
-        if tel.tracing:
+        if tel.recording:
             tel.emit(
                 "ctxsw_trap",
                 cycles=vcpu.cycles,
@@ -153,7 +148,7 @@ class ViewSwitcher:
             return
         self._resume_traps.value += 1
         tel = self.telemetry
-        if tel.tracing:
+        if tel.recording:
             tel.emit(
                 "resume_trap",
                 cycles=vcpu.cycles,
@@ -170,7 +165,7 @@ class ViewSwitcher:
         previous = self.current_index[cpu]
         if index == previous and self.skip_same_view:
             self._skipped.value += 1
-            if tel.tracing:
+            if tel.recording:
                 tel.emit(
                     "view_skip",
                     cycles=self.machine.vcpus[cpu].cycles,
@@ -216,16 +211,6 @@ class ViewSwitcher:
                 span,
                 cycles=vcpu.cycles,
                 to_view=self.current_index[cpu],
-                cost=cost,
-            )
-        if tel.tracing:
-            tel.emit(
-                "view_switch",
-                cycles=vcpu.cycles,
-                cpu=cpu,
-                from_view=previous,
-                to_view=self.current_index[cpu],
-                app=target.config.app if target is not None else "<full>",
                 cost=cost,
             )
 

@@ -184,7 +184,7 @@ def execute_job(
         detected=(bool(evidence) or unknown) if job.attack else None,
         error="" if handle.finished else "cycle budget exhausted before workload finished",
         wall_seconds=time.perf_counter() - started,
-        telemetry=telemetry_snapshot(machine.telemetry, events=True),
+        telemetry=telemetry_snapshot(machine.telemetry),
     )
     return result
 

@@ -134,13 +134,6 @@ class Machine:
         """The machine-wide telemetry registry (owned by the hypervisor)."""
         return self.hypervisor.telemetry
 
-    def enable_tracing(self) -> None:
-        """Start recording structured trace events (see ``repro.telemetry``)."""
-        self.telemetry.enable_tracing()
-
-    def disable_tracing(self) -> None:
-        self.telemetry.disable_tracing()
-
     def start_recording(
         self,
         path=None,
@@ -148,9 +141,9 @@ class Machine:
         keep=None,
         meta=None,
     ) -> "Journal":
-        """Attach a forensic flight recorder (and enable tracing).
+        """Attach a forensic flight recorder: the record of guest events.
 
-        With ``path``, spans and trace events stream to a JSONL journal
+        With ``path``, spans and events stream to a JSONL journal
         file; without, they accumulate in memory (``capacity``-bounded
         with drop accounting) for segment streaming -- see
         :mod:`repro.telemetry.journal`.  Recording charges zero guest
@@ -164,7 +157,6 @@ class Machine:
             # forest to the daemon-side submission (attrs only; cycle
             # accounting is untouched)
             self.telemetry.spans.trace_id = str(meta["trace"])
-        self.telemetry.enable_tracing()
         return journal
 
     def stop_recording(self) -> Optional["Journal"]:

@@ -676,7 +676,7 @@ class _Codegen:
                 flush_eip()
                 emit(f"{pad}v.misdecodes.value += 1")
                 emit(f"{pad}_t = v.telemetry")
-                emit(f"{pad}if _t is not None and _t.tracing:")
+                emit(f"{pad}if _t is not None and _t.recording:")
                 emit(
                     f"{pad}    _t.emit('misdecode', cycles=v.cycles, "
                     f"cpu=v.cpu_id, rip=v.eip)"

@@ -378,14 +378,6 @@ class Hypervisor:
             stage = dispatch.get(reason)
             if stage is None:
                 raise GuestCrash(exit_)
-            if telemetry.tracing:
-                telemetry.emit(
-                    "vmexit",
-                    cycles=vcpu.cycles,
-                    cpu=vcpu.cpu_id,
-                    reason=reason.name,
-                    rip=exit_.rip,
-                )
             before = vcpu.cycles
             self.charge(vcpu, stage.exit_cost(self, vcpu, exit_))
             stage.exits.inc()

@@ -401,12 +401,6 @@ class Vcpu:
         hi = bisect_left(traps, base + 2 * PAGE_SIZE)
         return tuple(traps[lo:hi])
 
-    def flush_block_cache(self) -> None:
-        self.block_cache.flush()
-        self._code_cache = None
-        if self._jit is not None:
-            self._jit.flush()
-
     def invalidate_translation_caches(self) -> None:
         """Drop the stack/code page caches, the MMU's TLB and the
         translated page tables.
@@ -868,7 +862,7 @@ class Vcpu:
             # The silent misdecode of a split UD2 stream.
             self.misdecodes.value += 1
             tel = self.telemetry
-            if tel is not None and tel.tracing:
+            if tel is not None and tel.recording:
                 tel.emit(
                     "misdecode", cycles=self.cycles, cpu=self.cpu_id, rip=self.eip
                 )

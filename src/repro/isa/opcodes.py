@@ -113,8 +113,3 @@ def signed32(value: int) -> int:
     """Interpret ``value`` (0..2**32) as a signed 32-bit integer."""
     value &= 0xFFFFFFFF
     return value - 0x100000000 if value >= 0x80000000 else value
-
-
-def unsigned32(value: int) -> int:
-    """Truncate ``value`` to an unsigned 32-bit integer."""
-    return value & 0xFFFFFFFF

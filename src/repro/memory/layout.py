@@ -36,11 +36,6 @@ def page_base(addr: int) -> int:
     return addr & PAGE_MASK
 
 
-def page_offset(addr: int) -> int:
-    """Offset of ``addr`` within its page."""
-    return addr & (PAGE_SIZE - 1)
-
-
 def is_kernel_address(addr: int) -> bool:
     """True when ``addr`` is in the kernel half of the split."""
     return (addr & ADDRESS_MASK) >= KERNEL_BASE

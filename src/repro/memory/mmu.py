@@ -113,11 +113,6 @@ class Mmu:
         self._cache[vfn] = entry
         return entry
 
-    def resolve_page(self, gva: int) -> Tuple[int, bytearray]:
-        """Return ``(hpfn, frame bytes)`` for the page containing ``gva``."""
-        entry = self.resolve_entry(gva)
-        return entry[0], entry[1]
-
     def translate(self, gva: int) -> int:
         """Full GVA -> HPA translation of a single address."""
         entry = self.resolve_entry(gva)

@@ -209,10 +209,6 @@ class PhysicalMemory:
             merged[hpfn] = bytes(data)
         return merged
 
-    def base_frame_count(self) -> int:
-        """Number of frames served from the shared CoW parent image."""
-        return len(self._base_frames)
-
     # -- byte access (host-physical addressing) ------------------------------
 
     def read(self, hpa: int, length: int) -> bytes:

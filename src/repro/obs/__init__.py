@@ -21,10 +21,10 @@ profiler, probes, heat analysis) lives in the
 
 from repro.obs.forensics import (
     attack_trees,
+    chains_for_app,
     narrate_tree,
     render_forensics,
     render_journal_narrative,
-    render_legacy_snapshot,
 )
 from repro.obs.live import JobStatus, LiveFleetView, render_service_top
 from repro.obs.metrics import (
@@ -67,6 +67,7 @@ __all__ = [
     "SeriesBank",
     "attack_trees",
     "capacity_report",
+    "chains_for_app",
     "default_rules",
     "load_rules",
     "narrate_tree",
@@ -78,7 +79,6 @@ __all__ = [
     "rebuild_export",
     "render_forensics",
     "render_journal_narrative",
-    "render_legacy_snapshot",
     "render_service_top",
     "render_trace",
 ]

@@ -5,18 +5,15 @@ chains: a ``#UD`` exit leads to a backtrace, a provenance verdict, and
 either a benign recovery or a captured attack.  With a span journal
 those chains are real trees (parent links recorded at runtime, see
 :mod:`repro.telemetry.spans`); this module renders them as the
-narrative the paper presents in Figures 4/5.
-
-Legacy ``repro trace -o`` snapshots (flat trace rings, no journal) are
-still accepted: they fall back to the ``(cycles, rip)`` correlation
-heuristic from :mod:`repro.analysis.timeline`, clearly labelled as such.
+narrative the paper presents in Figures 4/5.  ``repro trace`` and the
+report's ``trace`` section render the same narrative from the journal
+of their own run.
 """
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
-from typing import Any, Dict, List, Union
+from typing import Dict, List, Union
 
 from repro.telemetry.journal import (
     JournalData,
@@ -29,6 +26,8 @@ from repro.telemetry.journal import (
 
 #: Verdicts in severity order (worst first) for the summary line.
 _VERDICT_ORDER = ("captured-attack", "anomalous", "benign")
+#: Fields that may attribute a chain to an application.
+_APP_FIELDS = ("comm", "app", "view_app")
 
 
 def attack_trees(trees: List[SpanNode]) -> List[SpanNode]:
@@ -49,6 +48,11 @@ def narrate_tree(node: SpanNode, indent: int = 0) -> List[str]:
     attrs = node.attrs
     rec = node.record
     kind = node.kind
+    if node.is_event:
+        return [
+            f"{pad}{kind}: {_detail(rec.get('fields', {}))} "
+            f"[cpu{rec.get('cpu', 0)} cycles {rec.get('cycles', 0)}]"
+        ]
     if kind == "vmexit":
         line = (
             f"{pad}vmexit {attrs.get('reason', '?')} at rip "
@@ -94,16 +98,49 @@ def narrate_tree(node: SpanNode, indent: int = 0) -> List[str]:
             f"{attrs.get('cost', 0)} cycles)"
         )
     else:
-        detail = " ".join(f"{k}={v}" for k, v in sorted(attrs.items()))
-        line = f"{pad}{kind}: {detail}".rstrip(": ")
+        line = f"{pad}{kind}: {_detail(attrs)}".rstrip(": ")
     lines = [line]
     for event in node.events:
-        fields = event.get("fields", {})
-        detail = " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
+        detail = _detail(event.get("fields", {}))
         lines.append(f"{pad}  . {event.get('kind', '?')} {detail}".rstrip())
     for child in node.children:
         lines.extend(narrate_tree(child, indent + 1))
     return lines
+
+
+def _detail(fields: Dict) -> str:
+    return " ".join(f"{k}={v}" for k, v in sorted(fields.items()))
+
+
+def _mentions(node: SpanNode, app: str) -> bool:
+    """Whether any span or event of the chain names ``app``."""
+    if node.is_event:
+        found = [node.record.get("fields", {})]
+    else:
+        found = [node.attrs] + [e.get("fields", {}) for e in node.events]
+    return any(
+        fields.get(name) == app for fields in found for name in _APP_FIELDS
+    ) or any(_mentions(child, app) for child in node.children)
+
+
+def chains_for_app(data: JournalData, app: str) -> JournalData:
+    """``data`` cut to the causal chains attributable to ``app``: those
+    with a span or event whose ``comm``, ``app`` or ``view_app`` is it."""
+    kept: List[Dict] = []
+
+    def collect(node: SpanNode) -> None:
+        kept.append(node.record)
+        kept.extend(node.events)
+        for child in node.children:
+            collect(child)
+
+    for tree in build_span_trees(data.records):
+        if _mentions(tree, app):
+            collect(tree)
+    kept.sort(key=lambda record: record["seq"])
+    return JournalData(
+        header=data.header, records=kept, footer=data.footer, torn=data.torn
+    )
 
 
 def _verdict_counts(trees: List[SpanNode]) -> Dict[str, int]:
@@ -115,23 +152,19 @@ def _verdict_counts(trees: List[SpanNode]) -> Dict[str, int]:
     return counts
 
 
-def render_journal_narrative(
-    data: JournalData, limit: int = 50, all_exits: bool = False
-) -> str:
+def render_journal_narrative(data: JournalData, limit: int = 50) -> str:
     """The full ``repro forensics`` rendering for one journal.
 
-    By default only *eventful* chains are narrated -- exits whose
-    subtree contains a recovery, view switch or provenance verdict
-    (plain traps would drown them out); ``all_exits`` keeps everything.
+    Only *eventful* chains are narrated -- exits whose subtree holds a
+    span or an event (a recovery, a view switch, a context-switch trap);
+    plain exits would drown them out.  Events outside any span read in
+    cycle order between the chains.
     """
     trees = build_span_trees(data.records)
     eventful = [
         tree
         for tree in trees
-        if all_exits
-        or tree.kind != "vmexit"
-        or tree.children
-        or tree.events
+        if tree.kind != "vmexit" or tree.children or tree.events
     ]
     verdicts = _verdict_counts(trees)
     attacks = attack_trees(trees)
@@ -187,7 +220,7 @@ def render_journal_narrative(
             lines.append("")
         sections.append("\n".join(lines).rstrip())
 
-    shown = [tree for tree in eventful if tree not in attacks][:limit]
+    shown = [tree for tree in eventful if tree not in attacks][: limit or None]
     omitted = len(eventful) - len(attacks) - len(shown)
     lines = ["== causal chains =="]
     if not shown and not attacks:
@@ -202,48 +235,9 @@ def render_journal_narrative(
     return "\n\n".join(sections)
 
 
-def render_legacy_snapshot(snap: Dict[str, Any]) -> str:
-    """Fallback for pre-journal ``repro trace -o`` snapshot files.
-
-    No parent links exist in a flat trace dump, so recoveries are
-    listed from the ring with an explicit disclaimer: grouping is the
-    ``(cycles, rip)`` heuristic, not recorded causality.
-    """
-    trace = snap.get("trace", {})
-    events = trace.get("events", [])
-    recoveries = [e for e in events if e.get("kind") == "recovery"]
-    lines = [
-        "legacy snapshot: no span journal -- correlating by (cycles, rip); "
-        "parent links unavailable",
-        f"trace: {len(events)} events, {trace.get('dropped', 0)} dropped",
-    ]
-    if not recoveries:
-        lines.append("(no recovery events in trace)")
-        return "\n".join(lines)
-    lines.append(f"== recoveries ({len(recoveries)}) ==")
-    for event in recoveries:
-        lines.append(
-            f"[{event.get('cycles', 0):>12}] rip={event.get('rip', 0):#x} "
-            f"recovered={event.get('recovered', '?')} "
-            f"pid={event.get('pid')} comm={event.get('comm')} "
-            f"view={event.get('view_app')}"
-        )
-    return "\n".join(lines)
-
-
 def render_forensics(path: Union[str, Path]) -> str:
-    """Auto-detect journal vs legacy snapshot and render the narrative."""
+    """Read a journal file and render its narrative."""
     path = Path(path)
-    if read_header(path) is not None:
-        return render_journal_narrative(load_journal(path))
-    try:
-        snap = json.loads(path.read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise JournalError(f"unreadable file {path}: {exc}") from exc
-    except ValueError as exc:
-        raise JournalError(
-            f"{path} is neither a span journal nor a telemetry snapshot: {exc}"
-        ) from exc
-    if not isinstance(snap, dict):
-        raise JournalError(f"{path}: unexpected JSON payload")
-    return render_legacy_snapshot(snap)
+    if path.is_file() and read_header(path) is None:
+        raise JournalError(f"{path} is not a journal: it has no journal header")
+    return render_journal_narrative(load_journal(path))

@@ -130,20 +130,13 @@ class ProbeEngine:
         probe.hits += 1
         telemetry = self.machine.telemetry
         telemetry.labelled_counter(HITS_COUNTER).inc(probe.symbol)
-        if telemetry.tracing:
-            telemetry.emit(
-                "probe",
-                cycles=vcpu.cycles,
-                cpu=vcpu.cpu_id,
-                symbol=probe.symbol,
-                rip=probe.address,
-            )
-        if telemetry.recording and telemetry.spans.journal is not None:
+        if telemetry.recording:
             span = telemetry.spans.open(
                 "probe",
                 cpu=vcpu.cpu_id,
                 cycles=vcpu.cycles,
                 symbol=probe.symbol,
+                rip=probe.address,
                 hits=probe.hits,
             )
             telemetry.spans.close(span, cycles=vcpu.cycles)

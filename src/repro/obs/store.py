@@ -794,7 +794,7 @@ def render_trace(
             )
             break
         subtree = narrate_tree(tree, indent=1)
-        if len(subtree) <= 1 and shown >= 5:
+        if len(subtree) <= 1 and not tree.is_event and shown >= 5:
             continue  # skip bare vmexit leaves once context is set
         lines.extend(subtree)
         shown += 1

@@ -985,7 +985,7 @@ class ServeDaemon:
         data["tenant"] = qjob.tenant
         if result.telemetry:
             with self._lifetime_lock:
-                merge_into(self._lifetime, result.telemetry, source=name)
+                merge_into(self._lifetime, result.telemetry)
         state = "done" if result.ok else "failed"
         self.queue.finish(
             qjob,
@@ -1035,7 +1035,7 @@ class ServeDaemon:
                     else self._spawner.pid
                 ),
             },
-            "serve": telemetry_snapshot(self.telemetry, events=False),
+            "serve": telemetry_snapshot(self.telemetry),
             "jobs_telemetry": lifetime,
         }
 
@@ -1155,7 +1155,7 @@ class ServeDaemon:
                 "histograms": copy.deepcopy(self._lifetime["histograms"]),
             }
         return self.metrics.to_prometheus(
-            serve_snapshot=telemetry_snapshot(self.telemetry, events=False),
+            serve_snapshot=telemetry_snapshot(self.telemetry),
             jobs_snapshot=jobs_snapshot,
         )
 

@@ -1,4 +1,4 @@
-"""Structured telemetry: counters, histograms, trace events, exporters.
+"""Structured telemetry: counters, histograms, spans, journals, exporters.
 
 The shared measurement substrate every layer emits through -- see
 :mod:`repro.telemetry.core` for the primitives and
@@ -10,13 +10,10 @@ from repro.telemetry.core import (
     Histogram,
     LabelledCounter,
     Telemetry,
-    TraceBuffer,
-    TraceEvent,
 )
 from repro.telemetry.export import (
     format_counters,
     format_prometheus,
-    format_timeline,
     prometheus_name,
     snapshot,
     to_json,
@@ -46,13 +43,10 @@ __all__ = [
     "SpanNode",
     "SpanRecorder",
     "Telemetry",
-    "TraceBuffer",
-    "TraceEvent",
     "build_span_trees",
     "empty_merge",
     "format_counters",
     "format_prometheus",
-    "format_timeline",
     "load_journal",
     "merge_into",
     "merge_snapshots",

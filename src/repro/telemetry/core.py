@@ -1,4 +1,4 @@
-"""Telemetry primitives: counters, histograms and the trace ring buffer.
+"""Telemetry primitives: counters, histograms and the event recorder.
 
 The paper's evaluation (Section IV, Figures 6-7, Table 2) attributes
 every cycle of overhead to a mechanism: VM exits, EPT view switches,
@@ -10,24 +10,22 @@ model for that accounting instead of per-component counter bags:
   can be reconstructed from names;
 * :class:`Histogram` -- power-of-two bucketed cycle/latency
   distributions (per-exit-reason charged cycles, EPT switch costs);
-* :class:`TraceBuffer` -- a bounded ring of structured
-  :class:`TraceEvent` records, the raw material for the per-app
-  timelines (``repro.cli trace``) the paper could only describe
-  qualitatively;
-* :class:`Telemetry` -- the per-machine registry tying it together.
+* :class:`Telemetry` -- the per-machine registry tying it together,
+  plus the causal-span recorder (:mod:`repro.telemetry.spans`) and the
+  journal it writes to (:mod:`repro.telemetry.journal`), the one record
+  of guest events.
 
-Tracing is **zero-cost when disabled**: hot paths guard every ``emit``
-behind the single ``tracing`` flag (``if tel.tracing: tel.emit(...)``),
-and counters are plain integer adds, so the Figure 6/7 virtual-cycle
-scores are unaffected either way (telemetry charges no guest cycles).
+Recording is **zero-cost when off**: hot paths guard every span and
+``emit`` behind the single ``recording`` flag (``if tel.recording:
+tel.emit(...)``), and counters are plain integer adds, so the Figure 6/7
+virtual-cycle scores are unaffected either way (telemetry charges no
+guest cycles).
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.telemetry.journal import Journal
 from repro.telemetry.spans import SpanRecorder
@@ -142,57 +140,8 @@ class Histogram:
         self.max = None
 
 
-@dataclass(frozen=True)
-class TraceEvent:
-    """One structured trace record.
-
-    ``cycles`` is the emitting vCPU's virtual clock, which is also what
-    :class:`~repro.core.provenance.RecoveryEvent` stamps -- so recovery
-    trace events and provenance-log entries correlate exactly.
-    """
-
-    seq: int
-    cycles: int
-    cpu: int
-    kind: str
-    fields: Dict[str, Any] = field(default_factory=dict)
-
-    def get(self, key: str, default: Any = None) -> Any:
-        return self.fields.get(key, default)
-
-    def format(self) -> str:
-        detail = " ".join(f"{k}={v}" for k, v in self.fields.items())
-        return f"[{self.cycles:>12}] cpu{self.cpu} {self.kind:<22} {detail}"
-
-
-class TraceBuffer:
-    """A bounded ring buffer of trace events (oldest dropped first)."""
-
-    def __init__(self, capacity: int = 65536) -> None:
-        if capacity <= 0:
-            raise ValueError("trace buffer capacity must be positive")
-        self.capacity = capacity
-        self._events: deque = deque(maxlen=capacity)
-        self.dropped = 0
-
-    def append(self, event: TraceEvent) -> None:
-        if len(self._events) == self.capacity:
-            self.dropped += 1
-        self._events.append(event)
-
-    def __len__(self) -> int:
-        return len(self._events)
-
-    def __iter__(self) -> Iterator[TraceEvent]:
-        return iter(self._events)
-
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-
-
 class Telemetry:
-    """The per-machine registry of counters, histograms and the trace.
+    """The per-machine registry of counters, histograms and the recorder.
 
     One instance is shared by the hypervisor, the view switcher, the
     recovery engine and the vCPUs of a machine; components hold direct
@@ -200,16 +149,10 @@ class Telemetry:
     consumers enumerate the registry by name.
     """
 
-    def __init__(self, trace_capacity: int = 65536) -> None:
+    def __init__(self) -> None:
         self.counters: Dict[str, Counter] = {}
         self.labelled: Dict[str, LabelledCounter] = {}
         self.histograms: Dict[str, Histogram] = {}
-        self.trace = TraceBuffer(trace_capacity)
-        #: the single branch hot paths test before emitting a trace event
-        #: (``REPRO_TRACE=1`` turns tracing on for every new machine, so
-        #: benchmark drivers that boot their own machines can be traced)
-        self.tracing = os.environ.get("REPRO_TRACE", "") == "1"
-        self._seq = 0
         #: causal-span recorder; span calls are guarded by ``recording``
         self.spans = SpanRecorder()
         self.journal: Optional[Journal] = None
@@ -247,35 +190,25 @@ class Telemetry:
             hist = self.histograms[name] = Histogram(name)
         return hist
 
-    # -- tracing -------------------------------------------------------------
-
-    def enable_tracing(self) -> None:
-        self.tracing = True
-
-    def disable_tracing(self) -> None:
-        self.tracing = False
-
-    def emit(self, kind: str, cycles: int = 0, cpu: int = 0, **fields: Any) -> None:
-        """Record a trace event.  Callers guard with ``if tel.tracing``."""
-        if not self.tracing:
-            return
-        self._seq += 1
-        self.trace.append(TraceEvent(self._seq, cycles, cpu, kind, fields))
-        if self.recording and self.journal is not None:
-            span = self.spans.current(cpu)
-            self.journal.append(
-                "event",
-                kind=kind,
-                cycles=cycles,
-                cpu=cpu,
-                span=span.span_id if span is not None else None,
-                fields=fields,
-            )
-
     # -- flight recorder -----------------------------------------------------
 
+    def emit(self, kind: str, cycles: int = 0, cpu: int = 0, **fields: Any) -> None:
+        """Journal an event that has no span of its own, tagged with the
+        CPU's innermost open span.  Callers guard with ``if tel.recording``."""
+        if not self.recording:
+            return
+        span = self.spans.current(cpu)
+        self.journal.append(
+            "event",
+            kind=kind,
+            cycles=cycles,
+            cpu=cpu,
+            span=span.span_id if span is not None else None,
+            fields=fields,
+        )
+
     def attach_journal(self, journal: Journal) -> Journal:
-        """Bind a journal; spans and trace events persist into it."""
+        """Bind a journal; spans and events persist into it."""
         self.journal = journal
         self.spans.bind(journal)
         self.recording = True
@@ -289,11 +222,6 @@ class Telemetry:
         self.recording = False
         return journal
 
-    def events(self, kind: Optional[str] = None) -> List[TraceEvent]:
-        if kind is None:
-            return list(self.trace)
-        return [e for e in self.trace if e.kind == kind]
-
     # -- lifecycle ------------------------------------------------------------
 
     def reset(self) -> None:
@@ -303,6 +231,4 @@ class Telemetry:
             counter.reset()
         for hist in self.histograms.values():
             hist.reset()
-        self.trace.clear()
-        self._seq = 0
         self.spans.reset()

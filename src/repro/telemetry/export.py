@@ -3,28 +3,28 @@
 Three render targets:
 
 * :func:`snapshot` / :func:`to_json` -- a machine-readable dump of every
-  counter, histogram and trace event (the ``repro.cli trace -o`` file
-  format);
+  counter and histogram, with the journal's loss accounting (the
+  ``repro.cli trace -o`` file format);
 * :func:`format_prometheus` -- Prometheus text exposition over a
   snapshot dict (shared by the serve daemon's scrape surface and
   ``repro report --format prom``);
-* :func:`format_counters` / :func:`format_timeline` -- the terminal
-  rendering used by the ``trace`` CLI verb and the evaluation report.
+* :func:`format_counters` -- the terminal rendering used by the
+  ``trace`` CLI verb and the evaluation report.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from typing import Any, Dict, Iterable, List, Optional
+from typing import Any, Dict, List
 
-from repro.telemetry.core import Telemetry, TraceEvent
+from repro.telemetry.core import Telemetry
 
 _PROM_BAD_CHARS = re.compile(r"[^a-zA-Z0-9_:]")
 
 
-def snapshot(telemetry: Telemetry, events: bool = True) -> Dict[str, Any]:
-    """A JSON-able dump of the registry (and, optionally, the trace)."""
+def snapshot(telemetry: Telemetry) -> Dict[str, Any]:
+    """A JSON-able dump of the registry."""
     data: Dict[str, Any] = {
         "counters": {
             name: counter.value
@@ -46,20 +46,6 @@ def snapshot(telemetry: Telemetry, events: bool = True) -> Dict[str, Any]:
             for name, hist in sorted(telemetry.histograms.items())
         },
     }
-    if events:
-        data["trace"] = {
-            "dropped": telemetry.trace.dropped,
-            "events": [
-                {
-                    "seq": e.seq,
-                    "cycles": e.cycles,
-                    "cpu": e.cpu,
-                    "kind": e.kind,
-                    **e.fields,
-                }
-                for e in telemetry.trace
-            ],
-        }
     if telemetry.journal is not None:
         data["journal"] = {
             "written": telemetry.journal.seq,
@@ -68,8 +54,8 @@ def snapshot(telemetry: Telemetry, events: bool = True) -> Dict[str, Any]:
     return data
 
 
-def to_json(telemetry: Telemetry, events: bool = True, indent: int = 2) -> str:
-    return json.dumps(snapshot(telemetry, events=events), indent=indent)
+def to_json(telemetry: Telemetry, indent: int = 2) -> str:
+    return json.dumps(snapshot(telemetry), indent=indent)
 
 
 def prometheus_name(name: str) -> str:
@@ -140,31 +126,3 @@ def format_counters(telemetry: Telemetry) -> str:
                 f"max {hist.max:>8}"
             )
     return "\n".join(lines)
-
-
-def format_timeline(
-    events: Iterable[TraceEvent],
-    limit: Optional[int] = None,
-    kinds: Optional[Iterable[str]] = None,
-) -> str:
-    """Render trace events as a chronological timeline.
-
-    An event-free run renders an explicit marker instead of an empty
-    string, so ``repro trace`` output is never silently blank.
-    """
-    wanted = set(kinds) if kinds is not None else None
-    rows = [
-        e.format()
-        for e in events
-        if wanted is None or e.kind in wanted
-    ]
-    if not rows:
-        return "(no events recorded)"
-    total = len(rows)
-    # limit=0 (or None) means unlimited; rows[-0:] would keep everything
-    # while still claiming events were omitted
-    if limit and total > limit:
-        omitted = total - limit
-        rows = rows[-limit:]
-        rows.insert(0, f"... ({omitted} earlier events omitted)")
-    return "\n".join(rows)

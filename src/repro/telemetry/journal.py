@@ -1,8 +1,7 @@
 """Forensic flight recorder: an append-only, schema-versioned JSONL journal.
 
-The trace ring (PR 1) is bounded and volatile -- fine for live
-inspection, useless as evidence.  The journal persists what the monitor
-itself did, in order, with explicit loss accounting:
+The journal is the one record of guest events.  It persists what the
+monitor itself did, in order, with explicit loss accounting:
 
 * line 1 is an unnumbered ``header`` record carrying the schema version
   and free-form run metadata;
@@ -16,7 +15,8 @@ itself did, in order, with explicit loss accounting:
   parent) evicts oldest-first and counts every eviction in ``dropped``.
 
 Record kinds written today: ``span`` (closed causal spans, see
-:mod:`repro.telemetry.spans`) and ``event`` (trace-ring events, tagged
+:mod:`repro.telemetry.spans`) and ``event`` (events with no span of
+their own, from :meth:`~repro.telemetry.core.Telemetry.emit`, tagged
 with the innermost open span so the loader can attach them to the
 tree).  Unknown kinds are preserved round-trip; the schema version only
 changes when existing fields change meaning.
@@ -118,7 +118,7 @@ class Journal:
         """Append one body record; returns its seq number.
 
         ``kind`` is positional-only so payloads may carry their own
-        ``kind`` field (trace events do).
+        ``kind`` field (events do).
         """
         if self.closed:
             return self.seq
@@ -155,6 +155,20 @@ class Journal:
     def records(self) -> List[Dict[str, Any]]:
         """The in-memory records (empty unless ``keep``)."""
         return list(self._buffer)
+
+    def data(self) -> "JournalData":
+        """The in-memory records as a reader would parse them: with a
+        footer once the journal is closed."""
+        footer = (
+            {"t": "footer", "records": self.seq, "dropped": self.dropped}
+            if self.closed
+            else None
+        )
+        return JournalData(
+            header={"t": "header", "schema": JOURNAL_SCHEMA, "meta": self.meta},
+            records=self.records(),
+            footer=footer,
+        )
 
     def drain_segment(self) -> Tuple[List[Dict[str, Any]], int]:
         """Pop buffered records for streaming.
@@ -363,7 +377,8 @@ def read_header(path: Union[str, Path]) -> Optional[Dict[str, Any]]:
 
 @dataclass
 class SpanNode:
-    """A reconstructed span with its children and attached trace events."""
+    """A reconstructed span with its children and attached events -- or,
+    as a root with neither, an event journaled outside any span."""
 
     record: Dict[str, Any]
     children: List["SpanNode"] = field(default_factory=list)
@@ -378,6 +393,10 @@ class SpanNode:
         return self.record["id"]
 
     @property
+    def is_event(self) -> bool:
+        return self.record.get("t") == "event"
+
+    @property
     def attrs(self) -> Dict[str, Any]:
         return self.record.get("attrs", {})
 
@@ -390,6 +409,8 @@ class SpanNode:
 
     def to_dict(self) -> Dict[str, Any]:
         """Canonical nested form, for replay-equality comparison."""
+        if self.is_event:
+            return _event_dict(self.record)
         return {
             "kind": self.kind,
             "cpu": self.record.get("cpu"),
@@ -397,12 +418,18 @@ class SpanNode:
             "end": self.record.get("end"),
             "status": self.record.get("status"),
             "attrs": self.attrs,
-            "events": [
-                {k: v for k, v in event.items() if k != "seq"}
-                for event in self.events
-            ],
+            "events": [_event_dict(event) for event in self.events],
             "children": [child.to_dict() for child in self.children],
         }
+
+
+def _event_dict(event: Dict[str, Any]) -> Dict[str, Any]:
+    return {k: v for k, v in event.items() if k != "seq"}
+
+
+def _start(node: SpanNode) -> Tuple[int, int]:
+    record = node.record
+    return (record.get("start", record.get("cycles", 0)), record.get("id", 0))
 
 
 def build_span_trees(records: Iterable[Dict[str, Any]]) -> List[SpanNode]:
@@ -411,8 +438,9 @@ def build_span_trees(records: Iterable[Dict[str, Any]]) -> List[SpanNode]:
     Spans are journaled on *close*, so children precede parents in file
     order; linkage uses the recorded ids, not ordering.  A span whose
     parent is absent (dropped, or still open at the end of a truncated
-    run) becomes a root.  Trace events tagged with a span id attach to
-    that span's node.
+    run) becomes a root.  Events tagged with a span id attach to that
+    span's node; an event outside any span (a view load, a module load)
+    becomes a root of its own, so roots read in cycle order.
     """
     nodes: Dict[int, SpanNode] = {}
     events: List[Dict[str, Any]] = []
@@ -436,10 +464,10 @@ def build_span_trees(records: Iterable[Dict[str, Any]]) -> List[SpanNode]:
         target = nodes.get(event.get("span"))
         if target is not None:
             target.events.append(event)
-    def _key(node: SpanNode) -> Tuple[int, int]:
-        return (node.record.get("start", 0), node.span_id)
+        else:
+            roots.append(SpanNode(record=event))
     for node in order:
-        node.children.sort(key=_key)
+        node.children.sort(key=_start)
         node.events.sort(key=lambda e: e.get("seq", 0))
-    roots.sort(key=_key)
+    roots.sort(key=_start)
     return roots

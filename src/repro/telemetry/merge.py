@@ -9,17 +9,17 @@ dict (picklable) back to the coordinator, which folds them together:
   registries that populated different buckets merge losslessly), with
   ``count``/``total`` summed, ``min``/``max`` taken across sources and
   ``mean`` recomputed from the merged sums;
-* trace rings are *sampled*: events are tagged with their source,
-  interleaved, and evenly thinned to ``trace_limit``, with everything
-  thinned (plus each ring's own overflow) accounted in ``dropped``.
+* journal loss accounting (records written and dropped) adds.
 
-The merge is associative and commutative over the numeric instruments:
-merging two registries equals one registry that observed both streams.
+The merge is associative and commutative: merging two registries equals
+one registry that observed both streams.  Guest events are not merged:
+each job's span journal is its own record (streamed as segments, see
+:mod:`repro.telemetry.journal`).
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, Sequence
 
 
 def _merge_counters(target: Dict[str, int], source: Dict[str, int]) -> None:
@@ -58,41 +58,22 @@ def _copy_histogram(source: Dict[str, Any]) -> Dict[str, Any]:
     return data
 
 
-def _thin(events: List[Dict[str, Any]], limit: int) -> List[Dict[str, Any]]:
-    """Evenly strided sample of ``events`` keeping at most ``limit``."""
-    if limit <= 0 or len(events) <= limit:
-        return events
-    stride = len(events) / limit
-    return [events[int(i * stride)] for i in range(limit)]
-
-
 def empty_merge() -> Dict[str, Any]:
     """A zero-source accumulator for :func:`merge_into`."""
     return {
         "counters": {},
         "labelled_counters": {},
         "histograms": {},
-        "trace": {"dropped": 0, "events": []},
         "journal": {"written": 0, "dropped": 0},
         "sources": 0,
     }
 
 
-def merge_into(
-    accumulator: Dict[str, Any],
-    snap: Dict[str, Any],
-    source: str,
-    trace_limit: int = 512,
-) -> Dict[str, Any]:
+def merge_into(accumulator: Dict[str, Any], snap: Dict[str, Any]) -> Dict[str, Any]:
     """Fold one more registry snapshot into ``accumulator`` in place.
 
-    The incremental counterpart to :func:`merge_snapshots`, for
-    long-lived consumers (the serve daemon) that cannot afford to keep
-    every source snapshot alive for a batch merge.  Counters, labelled
-    counters, histograms and journal totals fold exactly as the batch
-    merge would; the trace is re-thinned to ``trace_limit`` after each
-    fold (already-merged events keep their original source tags), so
-    kept + dropped always accounts for every event ever seen.
+    For long-lived consumers (the serve daemon) that cannot afford to
+    keep every source snapshot alive for a batch merge.
     """
     _merge_counters(accumulator["counters"], snap.get("counters", {}))
     _merge_labelled(
@@ -107,67 +88,13 @@ def merge_into(
     if journal:
         accumulator["journal"]["written"] += journal.get("written", 0)
         accumulator["journal"]["dropped"] += journal.get("dropped", 0)
-    trace = snap.get("trace")
-    if trace:
-        accumulator["trace"]["dropped"] += trace.get("dropped", 0)
-        events = list(accumulator["trace"]["events"])
-        for event in trace.get("events", []):
-            events.append({**event, "source": source})
-        events.sort(
-            key=lambda e: (e.get("cycles", 0), e.get("source", ""), e.get("seq", 0))
-        )
-        kept = _thin(events, trace_limit)
-        accumulator["trace"]["dropped"] += len(events) - len(kept)
-        accumulator["trace"]["events"] = kept
     accumulator["sources"] += 1
     return accumulator
 
 
-def merge_snapshots(
-    snapshots: Sequence[Dict[str, Any]],
-    sources: Optional[Sequence[str]] = None,
-    trace_limit: int = 512,
-) -> Dict[str, Any]:
-    """Fold registry snapshot dicts into one fleet-level snapshot.
-
-    ``sources`` (parallel to ``snapshots``) tags each sampled trace
-    event with the guest it came from; defaults to ``guest-<i>``.
-    """
-    if sources is not None and len(sources) != len(snapshots):
-        raise ValueError(
-            f"{len(sources)} source names for {len(snapshots)} snapshots"
-        )
-    merged: Dict[str, Any] = {
-        "counters": {},
-        "labelled_counters": {},
-        "histograms": {},
-        "trace": {"dropped": 0, "events": []},
-        "journal": {"written": 0, "dropped": 0},
-        "sources": len(snapshots),
-    }
-    events: List[Dict[str, Any]] = []
-    for i, snap in enumerate(snapshots):
-        _merge_counters(merged["counters"], snap.get("counters", {}))
-        _merge_labelled(
-            merged["labelled_counters"], snap.get("labelled_counters", {})
-        )
-        for name, hist in snap.get("histograms", {}).items():
-            if name in merged["histograms"]:
-                _merge_histogram(merged["histograms"][name], hist)
-            else:
-                merged["histograms"][name] = _copy_histogram(hist)
-        journal = snap.get("journal")
-        if journal:
-            merged["journal"]["written"] += journal.get("written", 0)
-            merged["journal"]["dropped"] += journal.get("dropped", 0)
-        trace = snap.get("trace")
-        if trace:
-            merged["trace"]["dropped"] += trace.get("dropped", 0)
-            label = sources[i] if sources is not None else f"guest-{i}"
-            for event in trace.get("events", []):
-                events.append({**event, "source": label})
-    events.sort(key=lambda e: (e.get("cycles", 0), e.get("source", ""), e.get("seq", 0)))
-    kept = _thin(events, trace_limit)
-    merged["trace"]["dropped"] += len(events) - len(kept)
-    merged["trace"]["events"] = kept
+def merge_snapshots(snapshots: Sequence[Dict[str, Any]]) -> Dict[str, Any]:
+    """Fold registry snapshot dicts into one fleet-level snapshot."""
+    merged = empty_merge()
+    for snap in snapshots:
+        merge_into(merged, snap)
     return merged

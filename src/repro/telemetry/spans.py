@@ -1,11 +1,9 @@
-"""Causal spans: the tree-structured sibling of the flat trace ring.
+"""Causal spans: guest events recorded with the chain that caused them.
 
-PR 1's :class:`~repro.telemetry.core.TraceBuffer` records *what*
-happened; it cannot record *why*.  A VM exit at a UD2 fill, the
-backtrace walked from it, the provenance verdict and the code fill that
-resolves it are one causal chain (paper §III-B3, §III-C), but ring
-events only correlate heuristically by ``(cycles, rip)`` after the
-fact.  Spans make the chain explicit:
+A VM exit at a UD2 fill, the backtrace walked from it, the provenance
+verdict and the code fill that resolves it are one causal chain (paper
+§III-B3, §III-C).  Spans record that chain where it happens, so no
+reader has to join events after the fact:
 
 * a :class:`Span` has an id, a parent id, a kind, start/end virtual
   cycles and free-form attributes;
@@ -140,7 +138,7 @@ class SpanRecorder:
         return self.close(child, cycles=cycles)
 
     def current(self, cpu: int = 0) -> Optional[Span]:
-        """The CPU's innermost open span (trace events link to it)."""
+        """The CPU's innermost open span (journaled events link to it)."""
         stack = self._open.get(cpu)
         return stack[-1] if stack else None
 

@@ -87,3 +87,15 @@ def test_forensics_cli_narrates_the_attack(kbeast_journal, capsys):
     assert "UNKNOWN" in out
     assert "vmexit INVALID_OPCODE" in out
     assert "backtrace:" in out
+
+
+def test_forensics_shows_events_outside_any_span(kbeast_journal, capsys):
+    # the rootkit's module load happens outside every span: it must
+    # read in cycle order with the chains, not vanish from the narrative
+    path, live = kbeast_journal
+    loads = [tree for tree in live if tree.get("kind") == "module_load"]
+    assert len(loads) == 1 and loads[0]["span"] is None
+    assert main(["forensics", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "module_load: module=" in out
+    assert "view_load: " in out

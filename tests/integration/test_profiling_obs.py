@@ -119,6 +119,12 @@ class TestProbes:
         ]
         assert len(probe_spans) == probe.hits
         assert all(s["attrs"]["symbol"] == "pipe_write" for s in probe_spans)
+        assert all(s["attrs"]["rip"] == probe.address for s in probe_spans)
+        # the span is the hit's one record: no event repeats it
+        assert not any(
+            r.get("t") == "event" and r.get("kind") == "probe"
+            for r in journal.records()
+        )
 
     def test_probe_composes_with_resume_trap_address(self, app_configs):
         """A probe on resume_userspace shares its trap address with

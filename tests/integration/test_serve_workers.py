@@ -48,7 +48,8 @@ def _running(pid):
     try:
         with open(f"/proc/{pid}/stat") as fh:
             return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except FileNotFoundError:
+    except (FileNotFoundError, ProcessLookupError):
+        # gone before the open, or reaped between the open and the read
         return False
 
 

@@ -47,10 +47,22 @@ def test_trace_command(tmp_path, capsys):
     out = tmp_path / "trace.json"
     assert main(["--scale", "2", "trace", "top", "-o", str(out)]) == 0
     captured = capsys.readouterr().out
-    assert "== timeline ==" in captured
+    assert "== counters ==" in captured
+    assert "== causal chains ==" in captured
     assert "ctxsw_trap" in captured
-    assert "view_switch" in captured
+    assert "view switch:" in captured
+    assert "provenance: verdict=" in captured
     assert out.exists()
+
+
+def test_trace_app_only_and_limit_filter_chains(capsys):
+    argv = ["--scale", "2", "trace", "top", "--app-only", "--limit", "3"]
+    assert main(argv) == 0
+    captured = capsys.readouterr().out
+    chains = captured.split("== causal chains ==", 1)[1]
+    assert "further chains omitted" in chains
+    assert "comm=top" in chains
+    assert "comm=swapper" not in chains
 
 
 def test_trace_unknown_app(capsys):
@@ -125,19 +137,22 @@ def test_fleet_no_offline_with_empty_library_fails(tmp_path, capsys):
 
 def test_trace_with_no_events_exits_zero(monkeypatch, capsys):
     # regression: an event-free run must render an explicit marker and
-    # succeed, not print a blank timeline (or worse, crash)
-    from repro.telemetry.core import Telemetry
+    # succeed, not print a blank narrative (or worse, crash)
+    from repro.telemetry import Journal
 
-    monkeypatch.setattr(Telemetry, "enable_tracing", lambda self: None)
+    monkeypatch.setattr(Journal, "append", lambda self, kind, /, **kw: self.seq)
     assert main(["--scale", "2", "trace", "top"]) == 0
     captured = capsys.readouterr().out
-    assert "(no events recorded)" in captured
+    assert "(no eventful chains recorded)" in captured
 
 
-def test_format_timeline_empty_is_marked():
-    from repro.telemetry import format_timeline
+def test_narrative_of_an_empty_journal_is_marked():
+    from repro.obs import render_journal_narrative
+    from repro.telemetry import Journal
 
-    assert format_timeline([]) == "(no events recorded)"
+    text = render_journal_narrative(Journal().data())
+    assert "journal: 0 records" in text
+    assert "(no eventful chains recorded)" in text
 
 
 def test_trace_journal_then_forensics(tmp_path, capsys):
@@ -167,16 +182,21 @@ def test_forensics_rejects_garbage(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_forensics_legacy_snapshot_fallback(tmp_path, capsys):
+def test_forensics_names_a_missing_file(tmp_path, capsys):
+    path = tmp_path / "missing.jsonl"
+    assert main(["forensics", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
+
+
+def test_forensics_rejects_a_telemetry_snapshot(tmp_path, capsys):
     snap = tmp_path / "telemetry.json"
     assert main(
         ["--scale", "2", "trace", "top", "-o", str(snap)]
     ) == 0
     capsys.readouterr()
-    assert main(["forensics", str(snap)]) == 0
-    captured = capsys.readouterr().out
-    assert "legacy" in captured
-    assert "(cycles, rip)" in captured
+    assert main(["forensics", str(snap)]) == 2
+    err = capsys.readouterr().err
+    assert f"{snap} is not a journal" in err
 
 
 def test_flame_command(tmp_path, capsys):

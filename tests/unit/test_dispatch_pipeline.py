@@ -14,6 +14,7 @@ from repro.memory.ept import ExtendedPageTable
 from repro.memory.mmu import Mmu
 from repro.memory.paging import GuestPageTable
 from repro.memory.physmem import PhysicalMemory
+from repro.telemetry import Journal
 
 CODE = 0x00010000
 #: park: hlt; jmp back to the hlt (keeps idle exits flowing until budget)
@@ -117,11 +118,15 @@ class TestInstrumentation:
     def test_vmexit_trace_events(self):
         physmem, hv, (vcpu,) = make_world()
         physmem.write(CODE, b"\x90" + PARK)
-        hv.telemetry.enable_tracing()
+        journal = hv.telemetry.attach_journal(Journal())
         hv.register_address_trap(CODE, lambda v, e: None)
         hv.set_idle_handler(lambda v: None)
         hv.run(vcpu, budget=40)
-        reasons = [e.get("reason") for e in hv.telemetry.events("vmexit")]
+        reasons = [
+            r["attrs"]["reason"]
+            for r in journal.records()
+            if r["t"] == "span" and r["kind"] == "vmexit"
+        ]
         assert "ADDRESS_TRAP" in reasons
         assert "HLT" in reasons
 

@@ -159,7 +159,7 @@ def test_report_merges_fleet_telemetry(library):
     for name, value in singles[0]["counters"].items():
         assert merged["counters"][name] == 2 * value
     # the session's merge is the batch merge of the same jobs
-    expected = merge_snapshots(singles, sources=[job.name for job in spec.jobs])
+    expected = merge_snapshots(singles)
     for key in ("counters", "labelled_counters", "histograms", "sources"):
         assert merged[key] == expected[key], key
     summary = report.format_summary()

@@ -24,6 +24,7 @@ from repro.memory.layout import PAGE_SIZE
 from repro.memory.mmu import Mmu
 from repro.memory.paging import GuestPageTable
 from repro.memory.physmem import PhysicalMemory
+from repro.telemetry import Journal, Telemetry
 
 CODE_BASE = 0x00010000
 STACK_TOP = 0x00020FF0
@@ -103,6 +104,29 @@ def test_env_jit_enabled(monkeypatch, raw, expected):
 def test_env_jit_enabled_custom_default(monkeypatch):
     monkeypatch.delenv("REPRO_JIT", raising=False)
     assert env_jit_enabled(default=False) is False
+
+
+# -- misdecode events --------------------------------------------------------
+
+
+@pytest.mark.parametrize("jit", [False, True])
+def test_misdecodes_are_journaled_only_while_recording(jit):
+    physmem, vcpu = make_world(jit=jit)
+    physmem.write(CODE_BASE, b"\x0b\x0f" * 3 + b"\xf4")  # odd UD2 entries
+    tel = Telemetry()
+    vcpu.attach_telemetry(tel)
+    journal = tel.attach_journal(Journal())
+    assert vcpu.run(budget=100).reason is VmExitReason.HLT
+    assert vcpu.misdecodes.value == 3
+    rips = [r["fields"]["rip"] for r in journal.records() if r["kind"] == "misdecode"]
+    assert rips == [CODE_BASE, CODE_BASE + 2, CODE_BASE + 4]
+    if jit:
+        assert vcpu._jit.promotions.value == 1  # the generated code ran
+    tel.detach_journal()
+    vcpu.eip = CODE_BASE
+    assert vcpu.run(budget=100).reason is VmExitReason.HLT
+    assert vcpu.misdecodes.value == 6
+    assert len(journal.records()) == 3
 
 
 # -- promotion and counters ------------------------------------------------

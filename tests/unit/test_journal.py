@@ -29,6 +29,19 @@ def test_file_round_trip(tmp_path):
     assert data.records[1]["kind"] == "recovery"
 
 
+def test_data_reads_like_the_parsed_file(tmp_path):
+    path = tmp_path / "run.jsonl"
+    journal = Journal(path=path, keep=True, meta={"app": "top"})
+    journal.append("event", kind="view_load", cycles=0, fields={"view": 0})
+    assert journal.data().footer is None  # open: no footer yet
+    journal.close()
+    live, parsed = journal.data(), load_journal(path)
+    assert live.header == parsed.header
+    assert live.records == parsed.records
+    assert live.footer == parsed.footer
+    assert live.complete and live.meta == {"app": "top"}
+
+
 def test_memory_journal_keeps_records_by_default():
     journal = Journal()
     journal.append("span", id=1)

@@ -423,6 +423,27 @@ def test_render_trace_joins_events_alerts_and_spans(tmp_path):
     assert "span forest" in out
 
 
+def test_render_trace_shows_events_outside_any_span(tmp_path):
+    store = make_store(tmp_path)
+    trace = "beef" * 8
+    writer = store.job_journal(trace, meta={"job": "job-1"})
+    exits = [
+        {"t": "span", "seq": i, "id": i, "parent": None, "kind": "vmexit",
+         "cpu": 0, "start": i * 10, "end": i * 10 + 5, "status": "ok",
+         "attrs": {"reason": "HLT", "rip": 0}}
+        for i in range(1, 8)
+    ]
+    loose = {"t": "event", "seq": 8, "kind": "module_load", "cycles": 100,
+             "cpu": 0, "span": None, "fields": {"module": "kbeast"}}
+    writer.extend(exits + [loose], dropped=0)
+    writer.close()
+    store.close()
+    out = render_trace(tmp_path / "obs", trace)
+    # bare exits past the fifth are skipped; the module load is not
+    assert out.count("vmexit HLT") == 5
+    assert "module_load: module=kbeast [cpu0 cycles 100]" in out
+
+
 def test_json_lines_are_compact_and_sorted(tmp_path):
     store = make_store(tmp_path)
     store.append_event({"type": "queued", "id": "j"})

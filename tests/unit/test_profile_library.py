@@ -12,6 +12,9 @@ from repro.fleet.library import (
     ProfileRecord,
 )
 
+#: A kernel-build digest: pinned records load without the unpinned warning.
+BUILD = "feedface" * 8
+
 
 def _config(app="top", extra=0):
     profile = KernelProfile()
@@ -23,7 +26,9 @@ def _config(app="top", extra=0):
 
 def test_put_get_round_trip(tmp_path):
     library = ProfileLibrary(tmp_path)
-    stored = library.put(_config(), baseline=["b", "a"], meta={"scale": 2})
+    stored = library.put(
+        _config(), baseline=["b", "a"], meta={"scale": 2}, guest_digest=BUILD
+    )
     loaded = library.get("top")
     assert loaded.digest == stored.digest
     assert loaded.config.app == "top"
@@ -43,8 +48,8 @@ def test_put_is_idempotent_and_content_addressed(tmp_path):
 
 def test_new_content_supersedes_and_keeps_history(tmp_path):
     library = ProfileLibrary(tmp_path)
-    old = library.put(_config())
-    new = library.put(_config(extra=0x100))
+    old = library.put(_config(), guest_digest=BUILD)
+    new = library.put(_config(extra=0x100), guest_digest=BUILD)
     assert new.digest != old.digest
     assert library.digest_of("top") == new.digest
     index = json.loads((tmp_path / "index.json").read_text())
@@ -65,7 +70,7 @@ def test_tampered_object_fails_checksum(tmp_path):
 
 
 def test_inconsistent_frame_deltas_rejected():
-    record = ProfileRecord(config=_config())
+    record = ProfileRecord(config=_config(), guest_digest=BUILD)
     payload = record.payload()
     payload["frame_deltas"]["base"][0][1] += 8  # shift a span start
     with pytest.raises(ProfileLibraryError, match="frame deltas"):

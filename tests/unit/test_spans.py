@@ -1,6 +1,7 @@
 """Causal span recorder: parenting, per-CPU stacks, journaling."""
 
-from repro.telemetry import Journal, SpanRecorder, build_span_trees
+from repro.obs import chains_for_app, render_journal_narrative
+from repro.telemetry import Journal, SpanRecorder, Telemetry, build_span_trees
 
 
 def test_auto_parenting_from_open_stack():
@@ -100,3 +101,52 @@ def test_reset_clears_open_stacks():
     assert rec.current(0) is None
     fresh = rec.open("vmexit", cycles=2)
     assert fresh.parent_id is None
+
+
+def _recorded_journal():
+    """A recovery chain and two events outside any span, in cycle order:
+    a view load at 1, the chain at 5..9, a module load at 20."""
+    tel = Telemetry()
+    journal = tel.attach_journal(Journal())
+    tel.emit("view_load", cycles=1, view=0, app="top")
+    span = tel.spans.open("vmexit", cycles=5, reason="INVALID_OPCODE", rip=0x10)
+    tel.emit("ctxsw_trap", cycles=6, comm="top", pid=7, view=0)
+    tel.spans.close(span, cycles=9)
+    tel.emit("module_load", cycles=20, module="kbeast", views=1)
+    return journal
+
+
+def test_events_outside_any_span_become_roots_in_cycle_order():
+    trees = build_span_trees(_recorded_journal().records())
+    assert [t.kind for t in trees] == ["view_load", "vmexit", "module_load"]
+    assert [t.is_event for t in trees] == [True, False, True]
+    # the trap inside the span attaches to it, not to the roots
+    assert [e["kind"] for e in trees[1].events] == ["ctxsw_trap"]
+    assert trees[2].to_dict()["fields"] == {"module": "kbeast", "views": 1}
+
+
+def test_narrative_limit_omits_later_chains():
+    journal = _recorded_journal()
+    journal.close()
+    text = render_journal_narrative(journal.data(), limit=2)
+    lines = text.splitlines()
+    view_load = next(i for i, line in enumerate(lines) if "view_load:" in line)
+    vmexit = next(i for i, line in enumerate(lines) if "vmexit " in line)
+    assert view_load < vmexit
+    assert "module_load" not in text
+    assert "(1 further chains omitted)" in text
+    assert "module_load: module=kbeast views=1 [cpu0 cycles 20]" in (
+        render_journal_narrative(journal.data(), limit=0)
+    )
+
+
+def test_chains_for_app_keeps_chains_naming_the_app():
+    journal = _recorded_journal()
+    kept = chains_for_app(journal.data(), "top")
+    # the view load names top by ``app``, the exit holds top's trap by
+    # ``comm``; the module load names no application
+    assert [t.kind for t in build_span_trees(kept.records)] == [
+        "view_load", "vmexit",
+    ]
+    assert [r["seq"] for r in kept.records] == [1, 2, 3]
+    assert chains_for_app(journal.data(), "gzip").records == []

@@ -1,4 +1,4 @@
-"""Telemetry primitive unit tests: counters, histograms, ring, export."""
+"""Telemetry primitive unit tests: counters, histograms, events, export."""
 
 import json
 
@@ -7,12 +7,11 @@ import pytest
 from repro.telemetry import (
     Counter,
     Histogram,
+    Journal,
     LabelledCounter,
     Telemetry,
-    TraceBuffer,
-    TraceEvent,
     format_counters,
-    format_timeline,
+    load_journal,
     snapshot,
     to_json,
 )
@@ -82,50 +81,47 @@ class TestHistogram:
         assert h.min == 0
 
 
-class TestTraceBuffer:
-    def test_bounded_with_drop_accounting(self):
-        ring = TraceBuffer(capacity=4)
-        for i in range(10):
-            ring.append(TraceEvent(i, i, 0, "k"))
-        assert len(ring) == 4
-        assert ring.dropped == 6
-        assert [e.seq for e in ring] == [6, 7, 8, 9]
-
-    def test_bad_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            TraceBuffer(capacity=0)
-
-
 class TestTracing:
-    def test_repro_trace_env_enables_tracing(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TRACE", "1")
-        assert Telemetry().tracing is True
-        monkeypatch.delenv("REPRO_TRACE")
-        assert Telemetry().tracing is False
+    def test_repro_journal_dir_env_starts_recording(self, monkeypatch, tmp_path):
+        monkeypatch.setenv("REPRO_JOURNAL_DIR", str(tmp_path))
+        tel = Telemetry()
+        assert tel.recording
+        tel.emit("view_load", cycles=3)
+        tel.detach_journal().close()
+        (path,) = tmp_path.glob("journal-*.jsonl")
+        assert [r["kind"] for r in load_journal(path).records] == ["view_load"]
+        monkeypatch.delenv("REPRO_JOURNAL_DIR")
+        assert not Telemetry().recording
 
     def test_disabled_emits_nothing(self):
         tel = Telemetry()
         tel.emit("x", cycles=1, cpu=0, a=1)
-        assert len(tel.trace) == 0
+        assert tel.journal is None
+        assert not tel.recording
 
     def test_enabled_emits_sequenced_events(self):
         tel = Telemetry()
-        tel.enable_tracing()
+        journal = tel.attach_journal(Journal())
         tel.emit("a", cycles=5, cpu=0, rip=0x10)
         tel.emit("b", cycles=9, cpu=1)
-        events = tel.events()
-        assert [e.kind for e in events] == ["a", "b"]
-        assert events[0].seq < events[1].seq
-        assert events[0].get("rip") == 0x10
-        assert tel.events("b")[0].cycles == 9
+        events = journal.records()
+        assert [e["kind"] for e in events] == ["a", "b"]
+        assert events[0]["seq"] < events[1]["seq"]
+        assert events[0]["fields"] == {"rip": 0x10}
+        assert events[1]["cycles"] == 9 and events[1]["cpu"] == 1
+        # outside any span, and tagged with the innermost one inside
+        assert events[0]["span"] is None
+        span = tel.spans.open("vmexit", cpu=1, cycles=10)
+        tel.emit("c", cycles=11, cpu=1)
+        assert journal.records()[-1]["span"] == span.span_id
 
     def test_disable_stops_recording(self):
         tel = Telemetry()
-        tel.enable_tracing()
+        journal = tel.attach_journal(Journal())
         tel.emit("a")
-        tel.disable_tracing()
+        assert tel.detach_journal() is journal
         tel.emit("b")
-        assert [e.kind for e in tel.events()] == ["a"]
+        assert [e["kind"] for e in journal.records()] == ["a"]
 
 
 class TestExport:
@@ -134,8 +130,8 @@ class TestExport:
         tel.counter("hits").inc(3)
         tel.labelled_counter("per").inc("x", 2)
         tel.histogram("lat").observe(100)
-        tel.enable_tracing()
-        tel.emit("recovery", cycles=42, cpu=0, rip=0xC0100000)
+        tel.attach_journal(Journal())
+        tel.emit("module_load", cycles=42, cpu=0, module="kbeast")
         return tel
 
     def test_snapshot_roundtrips_through_json(self):
@@ -144,12 +140,14 @@ class TestExport:
         assert data["counters"]["hits"] == 3
         assert data["labelled_counters"]["per"]["x"] == 2
         assert data["histograms"]["lat"]["count"] == 1
-        assert data["trace"]["events"][0]["kind"] == "recovery"
-        assert data["trace"]["events"][0]["cycles"] == 42
+        assert data["journal"] == {"written": 1, "dropped": 0}
 
     def test_snapshot_without_events(self):
+        # events live in the journal; a snapshot carries its accounting
         tel = self._populated()
-        assert "trace" not in snapshot(tel, events=False)
+        assert set(snapshot(tel)) == {
+            "counters", "labelled_counters", "histograms", "journal",
+        }
 
     def test_format_counters_skips_zeroes(self):
         tel = self._populated()
@@ -157,18 +155,3 @@ class TestExport:
         text = format_counters(tel)
         assert "hits" in text
         assert "silent" not in text
-
-    def test_format_timeline_limit(self):
-        events = [TraceEvent(i, i, 0, "k", {"n": i}) for i in range(10)]
-        text = format_timeline(events, limit=3)
-        assert "7 earlier events omitted" in text
-        assert "n=9" in text
-        assert "n=2" not in text
-
-    def test_format_timeline_kind_filter(self):
-        events = [
-            TraceEvent(1, 1, 0, "keep"),
-            TraceEvent(2, 2, 0, "drop"),
-        ]
-        text = format_timeline(events, kinds=["keep"])
-        assert "keep" in text and "drop" not in text

@@ -87,37 +87,10 @@ def test_merge_single_snapshot_is_identity_on_instruments():
     assert merged["histograms"]["latency"]["count"] == 3
 
 
-def test_trace_events_are_tagged_and_sampled():
-    left, right = Telemetry(), Telemetry()
-    for registry in (left, right):
-        registry.enable_tracing()
-    for i in range(10):
-        left.emit(kind="exit", cycles=i * 10, cpu=0)
-        right.emit(kind="exit", cycles=i * 10 + 5, cpu=0)
-    merged = merge_snapshots(
-        [snapshot(left), snapshot(right)],
-        sources=["guest-a", "guest-b"],
-        trace_limit=8,
-    )
-    events = merged["trace"]["events"]
-    assert len(events) == 8
-    assert {e["source"] for e in events} <= {"guest-a", "guest-b"}
-    # thinning is accounted as drops: 20 emitted, 8 kept
-    assert merged["trace"]["dropped"] == 12
-    # interleaved by virtual time
-    cycles = [e["cycles"] for e in events]
-    assert cycles == sorted(cycles)
-
-
-def test_source_name_count_mismatch_rejected():
-    with pytest.raises(ValueError, match="source names"):
-        merge_snapshots([{}, {}], sources=["only-one"])
-
-
 def test_merge_of_empty_list_is_empty():
     merged = merge_snapshots([])
     assert merged["counters"] == {}
-    assert merged["trace"]["events"] == []
+    assert merged["journal"] == {"written": 0, "dropped": 0}
     assert merged["sources"] == 0
 
 
@@ -127,58 +100,29 @@ def test_merge_of_empty_list_is_empty():
 
 
 def test_merge_into_equals_batch_merge():
-    from repro.telemetry import empty_merge, merge_into
+    from repro.telemetry import Journal, empty_merge, merge_into
 
     left, right = Telemetry(), Telemetry()
     _observe(left, STREAM_A)
     _observe(right, STREAM_B)
+    for registry, events in ((left, 2), (right, 3)):
+        registry.attach_journal(Journal())
+        for i in range(events):
+            registry.emit("view_load", cycles=i)
     snaps = [snapshot(left), snapshot(right)]
 
-    batch = merge_snapshots(snaps, sources=["job-a", "job-b"])
+    batch = merge_snapshots(snaps)
     incremental = empty_merge()
-    merge_into(incremental, snaps[0], source="job-a")
-    merge_into(incremental, snaps[1], source="job-b")
+    merge_into(incremental, snaps[0])
+    merge_into(incremental, snaps[1])
 
     assert incremental["counters"] == batch["counters"]
     assert incremental["labelled_counters"] == batch["labelled_counters"]
-    assert incremental["journal"] == batch["journal"]
+    assert incremental["journal"] == batch["journal"] == {
+        "written": 5, "dropped": 0,
+    }
     assert incremental["sources"] == batch["sources"]
     for name, ref in batch["histograms"].items():
         got = incremental["histograms"][name]
         for key in ("count", "total", "min", "max"):
             assert got[key] == ref[key]
-
-
-def test_merge_into_preserves_earlier_source_tags():
-    from repro.telemetry import empty_merge, merge_into
-
-    first, second = Telemetry(), Telemetry()
-    for registry in (first, second):
-        registry.enable_tracing()
-    for i in range(4):
-        first.emit(kind="exit", cycles=i * 10, cpu=0)
-        second.emit(kind="exit", cycles=i * 10 + 5, cpu=0)
-    acc = empty_merge()
-    merge_into(acc, snapshot(first), source="job-a")
-    merge_into(acc, snapshot(second), source="job-b")
-    sources = {e["source"] for e in acc["trace"]["events"]}
-    assert sources == {"job-a", "job-b"}
-    cycles = [e["cycles"] for e in acc["trace"]["events"]]
-    assert cycles == sorted(cycles)
-
-
-def test_merge_into_rethinning_accounts_for_every_event():
-    from repro.telemetry import empty_merge, merge_into
-
-    acc = empty_merge()
-    total = 0
-    for job in range(5):
-        registry = Telemetry()
-        registry.enable_tracing()
-        for i in range(30):
-            registry.emit(kind="exit", cycles=job * 1000 + i, cpu=0)
-        total += 30
-        merge_into(acc, snapshot(registry), source=f"job-{job}", trace_limit=20)
-    kept = len(acc["trace"]["events"])
-    assert kept <= 20
-    assert kept + acc["trace"]["dropped"] == total
