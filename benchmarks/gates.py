@@ -508,7 +508,7 @@ class Scenario:
 def attack_replay(session: "Session", passes) -> List[Verdict]:
     """Record a KBeast capture; its journal must replay losslessly."""
     from repro.analysis.similarity import profile_applications
-    from repro.core.facechange import FaceChange
+    from repro.fleet.jobs import run_under_view
     from repro.guest.machine import boot_machine
     from repro.kernel.runtime import Platform
     from repro.malware import ALL_ATTACKS
@@ -522,15 +522,9 @@ def attack_replay(session: "Session", passes) -> List[Verdict]:
         path=ATTACK_JOURNAL, keep=True,
         meta={"app": "bash", "attack": "KBeast", "scale": scale},
     )
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(config, comm="bash")
     attack = next(a for a in ALL_ATTACKS if a.name == "KBeast")
-    handle = attack.launch(machine, scale=scale)
-    machine.run(
-        until=lambda: handle.finished,
-        max_cycles=machine.cycles + 20_000_000_000,
-        step_budget=50_000,
+    run_under_view(
+        machine, config, "bash", scale, attack=attack, budget=20_000_000_000
     )
     live = [n.to_dict() for n in build_span_trees(journal.records())]
     machine.stop_recording()
@@ -565,30 +559,20 @@ EXPECTED_HOT = {
 
 def _sampled_find_pipe(scale: int, seed: int):
     from repro.analysis.similarity import profile_applications
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
+    from repro.fleet.jobs import run_under_view
     from repro.guest.machine import boot_machine
     from repro.kernel.runtime import Platform
-    from repro.obs.profiling import SamplingProfiler
+    from repro.obs.profiling.sampler import DEFAULT_SAMPLE_INTERVAL
 
     config = profile_applications(apps=["find_pipe"], scale=scale)["find_pipe"]
     machine = boot_machine(platform=Platform.KVM)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(config, comm="find_pipe")
-    sampler = SamplingProfiler(
-        machine, view_provider=lambda cpu: fc.switcher.current_index[cpu]
+    fc, handle = run_under_view(
+        machine, config, "find_pipe", scale, seed=seed,
+        sample_interval=DEFAULT_SAMPLE_INTERVAL,
     )
-    sampler.install()
-    handle = launch(
-        machine, "find_pipe", APP_CATALOG["find_pipe"], scale=scale, seed=seed
-    )
-    handle.run_to_completion(max_cycles=200_000_000_000)
-    sampler.uninstall()
     if not handle.finished:
         raise RuntimeError("find_pipe did not finish under the sampler")
-    return sampler.profile
+    return fc.sampler.profile
 
 
 def flame_determinism(session: "Session", passes) -> List[Verdict]:

@@ -45,11 +45,7 @@ def run_with(config, widen=True, defer=True, skip_same=True, instances=1):
     fc.switcher.skip_same_view = skip_same
     fc.load_view(config, comm="top")
     tasks = [machine.spawn("top", top_workload()) for _ in range(instances)]
-    machine.run(
-        until=lambda: all(t.finished for t in tasks),
-        max_cycles=240_000_000_000,
-    )
-    assert all(t.finished for t in tasks)
+    assert machine.run_to_exit(tasks, 240_000_000_000)
     return machine, fc
 
 

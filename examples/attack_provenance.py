@@ -33,7 +33,7 @@ def main():
     fc.enable()
     fc.load_view(config, comm="top")
     handle = attack.launch(machine, scale=4)
-    machine.run(until=lambda: handle.finished, max_cycles=120_000_000_000)
+    machine.run_to_exit([handle], budget=120_000_000_000)
 
     events = fc.log.anomalous(benign=DEFAULT_BENIGN_RECOVERIES)
     print(f"kernel code recovery log: {len(events)} anomalous recoveries\n")

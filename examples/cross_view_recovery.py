@@ -77,10 +77,7 @@ def run(instant: bool):
     fc.load_view(view_without(machine, EXCLUDED), comm="poller")
     print(f"  hot-plugged a view lacking {', '.join(EXCLUDED)}")
     try:
-        machine.run(
-            until=lambda: task.finished,
-            max_cycles=machine.cycles + 40_000_000_000,
-        )
+        machine.run_to_exit([task], budget=40_000_000_000)
     except Exception as exc:  # runaway misdecoded execution
         print(f"  guest crashed: {exc}")
     return machine, fc, task

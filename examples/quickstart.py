@@ -49,7 +49,7 @@ def main():
     profiler.track("top")
     profiler.install()
     task = qemu.spawn("top", top_workload())
-    qemu.run(until=lambda: task.finished, max_cycles=40_000_000_000)
+    assert qemu.run_to_exit([task], budget=40_000_000_000)
     config = profiler.export("top")
     print(f"profiled kernel view for 'top': {config.size / 1024:.0f} KB "
           f"across {len(config.profile)} code ranges")
@@ -66,8 +66,7 @@ def main():
     fc.enable()
     fc.load_view(KernelViewConfig.load(path))
     task = kvm.spawn("top", top_workload())
-    kvm.run(until=lambda: task.finished, max_cycles=80_000_000_000)
-    assert task.finished
+    assert kvm.run_to_exit([task], budget=80_000_000_000)
     stats = fc.stats
     print(f"workload finished under its minimized view: "
           f"{stats.context_switch_traps} context-switch traps, "

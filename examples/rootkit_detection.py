@@ -32,7 +32,7 @@ def main():
     print("insmod kbeast (the rootkit hides itself from the module list),")
     print("then running bash under its kernel view...\n")
     handle = attack.launch(machine, scale=4)
-    machine.run(until=lambda: handle.finished, max_cycles=160_000_000_000)
+    machine.run_to_exit([handle], budget=160_000_000_000)
 
     visible = [m.name for m in machine.introspector.read_module_list()]
     print(f"guest module list (VMI): {visible}   <- no kbeast")

@@ -18,9 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List
 
-from repro.core.facechange import FaceChange
 from repro.core.kernel_view import KernelViewConfig, union_view
-from repro.core.provenance import DEFAULT_BENIGN_RECOVERIES
+from repro.fleet.jobs import attack_evidence, benign_baseline, run_under_view
 from repro.guest.machine import boot_machine
 from repro.kernel.runtime import Platform
 
@@ -50,88 +49,45 @@ class DetectionResult:
         return f"{self.name:<14} {self.infection_method:<44} {verdicts}"
 
 
-def _run_infected(
-    config: KernelViewConfig,
-    attack,
-    scale: int,
-    max_cycles: int,
-):
-    """Run the infected host under ``config``; return the FaceChange."""
-    machine = boot_machine(platform=Platform.KVM)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(config, comm=attack.host_app)
-    handle = attack.launch(machine, scale=scale)
-    machine.run(
-        until=lambda: handle.finished,
-        max_cycles=max_cycles,
-        step_budget=50_000,
-    )
-    return fc
-
-
-def _run_clean(
-    config: KernelViewConfig,
-    host_app: str,
-    scale: int,
-    max_cycles: int,
-):
-    """Run the *uninfected* host under ``config`` (baseline recoveries).
-
-    Benign recoveries caused by incomplete profiling are "recorded as a
-    reference for the administrator" (paper III-B3); the detection
-    experiment subtracts them so evidence is attack-specific.
-    """
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-
-    machine = boot_machine(platform=Platform.KVM)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(config, comm=host_app)
-    handle = launch(machine, host_app, APP_CATALOG[host_app], scale=scale)
-    machine.run(
-        until=lambda: handle.finished,
-        max_cycles=max_cycles,
-        step_budget=50_000,
-    )
-    return {e.function_name for e in fc.log.events}
-
-
 def evaluate_attack(
     attack,
     configs: Dict[str, KernelViewConfig],
     scale: int = 4,
     max_cycles: int = 60_000_000_000,
-    benign=DEFAULT_BENIGN_RECOVERIES,
 ) -> DetectionResult:
-    """Run one Table II sample under per-app and union views."""
-    host_config = configs[attack.host_app]
+    """Run one Table II sample under per-app and union views.
+
+    Under each view, a clean run of the host records the benign
+    recoveries that incomplete profiling causes ("recorded as a
+    reference for the administrator", paper III-B3) and the infected
+    run's evidence is what remains once they are subtracted -- the same
+    enforced run and detection rule a fleet job uses.
+    """
+    host = attack.host_app
     union_config = union_view(configs.values())
-
-    baseline = _run_clean(host_config, attack.host_app, scale, max_cycles)
-    baseline |= set(benign)
-
-    fc_app = _run_infected(host_config, attack, scale, max_cycles)
-    app_events = fc_app.log.anomalous(benign=tuple(baseline))
-    evidence = sorted({e.function_name for e in app_events})
-    unknown = any(e.has_unknown_frames for e in fc_app.log.events)
-
-    union_named = KernelViewConfig(app=attack.host_app, profile=union_config.profile)
-    union_baseline = _run_clean(union_named, attack.host_app, scale, max_cycles)
-    union_baseline |= set(benign)
-    fc_union = _run_infected(union_named, attack, scale, max_cycles)
-    union_events = fc_union.log.anomalous(benign=tuple(union_baseline))
-    union_evidence = sorted({e.function_name for e in union_events})
-    union_unknown = any(e.has_unknown_frames for e in fc_union.log.events)
-
+    verdicts = []
+    for config in (
+        configs[host],
+        KernelViewConfig(app=host, profile=union_config.profile),
+    ):
+        baseline = benign_baseline(config, host, scale, max_cycles)
+        machine = boot_machine(platform=Platform.KVM)
+        try:
+            fc, _handle = run_under_view(
+                machine, config, host, scale, attack=attack,
+                budget=max_cycles, benign=baseline,
+            )
+            verdicts.append(attack_evidence(fc.log, baseline))
+        finally:
+            machine.close()
+    (evidence, unknown), (union_evidence, union_unknown) = verdicts
     return DetectionResult(
         name=attack.name,
         infection_method=attack.infection_method,
         payload=attack.payload,
-        host_app=attack.host_app,
-        detected_per_app=bool(app_events) or unknown,
-        detected_union=bool(union_events) or union_unknown,
+        host_app=host,
+        detected_per_app=bool(evidence) or unknown,
+        detected_union=bool(union_evidence) or union_unknown,
         evidence=evidence,
         union_evidence=union_evidence,
         unknown_frames=unknown,

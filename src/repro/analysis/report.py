@@ -82,24 +82,33 @@ def _section_figure6(out: io.StringIO, configs, views: Sequence[int]) -> None:
               "Switching degrades; extra views are free)\n\n")
 
 
-def _section_trace(out: io.StringIO, configs, scale: int) -> None:
-    """A recorded quickstart run: the causal chains behind Figures 6/7."""
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
+def _enforced_run(
+    config, app: str, scale: int, record: bool = False, sample_interval=None
+):
+    """One enforced run of ``app`` on a fresh KVM guest, for a section.
+
+    Returns ``(machine, journal)``; ``journal`` is the flight recorder
+    when ``record``, else None.
+    """
+    from repro.fleet.jobs import run_under_view
     from repro.guest.machine import boot_machine
     from repro.kernel.runtime import Platform
+
+    machine = boot_machine(platform=Platform.KVM)
+    journal = (
+        machine.start_recording(meta={"app": app, "scale": scale}) if record else None
+    )
+    run_under_view(machine, config, app, scale, sample_interval=sample_interval)
+    return machine, journal
+
+
+def _section_trace(out: io.StringIO, configs, scale: int) -> None:
+    """A recorded quickstart run: the causal chains behind Figures 6/7."""
     from repro.obs.forensics import render_journal_narrative
     from repro.telemetry.export import format_counters
 
     app = "top"
-    machine = boot_machine(platform=Platform.KVM)
-    journal = machine.start_recording(meta={"app": app, "scale": scale})
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(configs[app], comm=app)
-    handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-    handle.run_to_completion(max_cycles=200_000_000_000)
+    machine, journal = _enforced_run(configs[app], app, scale, record=True)
     counters = format_counters(machine.telemetry)
     machine.stop_recording()
     out.write("## Trace — span journal of one enforced run\n\n")
@@ -111,19 +120,8 @@ def _section_trace(out: io.StringIO, configs, scale: int) -> None:
 
 def _section_caches(out: io.StringIO, configs, scale: int) -> None:
     """Hit/miss/eviction counters of the translation and decode caches."""
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
-    from repro.guest.machine import boot_machine
-    from repro.kernel.runtime import Platform
-
     app = "top"
-    machine = boot_machine(platform=Platform.KVM)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(configs[app], comm=app)
-    handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-    handle.run_to_completion(max_cycles=200_000_000_000)
+    machine, _journal = _enforced_run(configs[app], app, scale)
     out.write("## Caches — TLB / stack / decode counters\n\n")
     out.write(f"(one enforced {app} run; counters from the telemetry "
               "registry)\n\n")
@@ -157,21 +155,10 @@ def _section_caches(out: io.StringIO, configs, scale: int) -> None:
 
 def _section_observability(out: io.StringIO, configs, scale: int) -> None:
     """Recorder accounting: span-journal drop visibility."""
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
-    from repro.guest.machine import boot_machine
-    from repro.kernel.runtime import Platform
     from repro.telemetry.journal import build_span_trees
 
     app = "top"
-    machine = boot_machine(platform=Platform.KVM)
-    journal = machine.start_recording(meta={"app": app, "scale": scale})
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(configs[app], comm=app)
-    handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-    handle.run_to_completion(max_cycles=200_000_000_000)
+    machine, journal = _enforced_run(configs[app], app, scale, record=True)
     trees = build_span_trees(journal.records())
     verdicts = machine.telemetry.labelled.get("recovery.verdicts")
     machine.stop_recording()
@@ -194,28 +181,14 @@ def _section_observability(out: io.StringIO, configs, scale: int) -> None:
 
 def _section_heat(out: io.StringIO, configs, scale: int) -> None:
     """Sampled hotness joined against the app's kernel-view ranges."""
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
-    from repro.guest.machine import boot_machine
-    from repro.kernel.runtime import Platform
     from repro.obs.profiling import analyze_heat, format_heat_report
-    from repro.obs.profiling.sampler import SamplingProfiler
+    from repro.obs.profiling.sampler import DEFAULT_SAMPLE_INTERVAL
     from repro.telemetry.export import snapshot as telemetry_snapshot
 
     app = "find_pipe" if "find_pipe" in configs else sorted(configs)[0]
-    machine = boot_machine(platform=Platform.KVM)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(configs[app], comm=app)
-    sampler = SamplingProfiler(
-        machine,
-        view_provider=lambda cpu: fc.switcher.current_index[cpu],
+    machine, _journal = _enforced_run(
+        configs[app], app, scale, sample_interval=DEFAULT_SAMPLE_INTERVAL
     )
-    sampler.install()
-    handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-    handle.run_to_completion(max_cycles=200_000_000_000)
-    sampler.uninstall()
     snapshot = telemetry_snapshot(machine.telemetry)
     heat = analyze_heat(snapshot, {app: configs[app]})
     out.write("## Heat — sampled hotness vs. kernel-view coverage\n\n")
@@ -323,11 +296,7 @@ def generate_prometheus(
     path the serve daemon's scrape endpoint uses -- so batch-run and
     daemon metrics share one exposition format.
     """
-    from repro.apps.base import launch
     from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
-    from repro.guest.machine import boot_machine
-    from repro.kernel.runtime import Platform
     from repro.telemetry.export import format_prometheus
     from repro.telemetry.export import snapshot as telemetry_snapshot
 
@@ -338,12 +307,7 @@ def generate_prometheus(
         )
     if configs is None:
         configs = profile_applications(apps=[app], scale=scale)
-    machine = boot_machine(platform=Platform.KVM)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(configs[app], comm=app)
-    handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-    handle.run_to_completion(max_cycles=200_000_000_000)
+    machine, _journal = _enforced_run(configs[app], app, scale)
     return format_prometheus(
         telemetry_snapshot(machine.telemetry), prefix="repro"
     )

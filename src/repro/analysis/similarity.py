@@ -2,9 +2,10 @@
 
 ``profile_applications`` profiles each Table I application in its own
 (QEMU-platform) session, exactly like the paper's independent profiling
-sessions, and ``SimilarityMatrix`` renders the square matrix: view sizes
-on the diagonal, overlap sizes above it, similarity indices (Equation 1)
-below it.
+sessions -- the offline phase's :func:`repro.fleet.jobs.profile_view` --
+and ``SimilarityMatrix`` renders the square matrix: view sizes on the
+diagonal, overlap sizes above it, similarity indices (Equation 1) below
+it.
 """
 
 from __future__ import annotations
@@ -12,13 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-from repro.apps.base import launch
 from repro.apps.catalog import APP_CATALOG
 from repro.core.kernel_view import KernelViewConfig
-from repro.core.profiler import Profiler
 from repro.core.rangelist import similarity_index
-from repro.guest.machine import boot_machine
-from repro.kernel.runtime import Platform
+from repro.fleet.jobs import profile_view
 
 
 def profile_applications(
@@ -32,18 +30,7 @@ def profile_applications(
     included, per Section III-A3).
     """
     names = list(apps) if apps is not None else list(APP_CATALOG)
-    configs: Dict[str, KernelViewConfig] = {}
-    for name in names:
-        machine = boot_machine(platform=Platform.QEMU)
-        profiler = Profiler(machine)
-        profiler.track(name)
-        profiler.install()
-        handle = launch(machine, name, APP_CATALOG[name], scale=scale)
-        handle.run_to_completion(max_cycles=max_cycles)
-        if not handle.finished:
-            raise RuntimeError(f"profiling workload for {name!r} did not finish")
-        configs[name] = profiler.export(name)
-    return configs
+    return {name: profile_view(name, scale, max_cycles) for name in names}
 
 
 @dataclass

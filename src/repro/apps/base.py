@@ -47,21 +47,13 @@ class Env:
 
 @dataclass
 class WorkloadHandle:
-    """A launched application: its task plus completion helpers."""
+    """A launched application's task; ``Machine.run_to_exit`` runs it."""
 
     task: Task
-    machine: Machine
 
     @property
     def finished(self) -> bool:
         return self.task.finished
-
-    def run_to_completion(self, max_cycles: int = 20_000_000_000) -> None:
-        self.machine.run(
-            until=lambda: self.task.finished,
-            max_cycles=max_cycles,
-            step_budget=50_000,
-        )
 
 
 def launch(
@@ -82,4 +74,4 @@ def launch(
         env = Env(machine) if seed is None else Env(machine, seed=seed)
     factory = workload(env, scale)
     task = machine.spawn(comm, factory)
-    return WorkloadHandle(task=task, machine=machine)
+    return WorkloadHandle(task=task)

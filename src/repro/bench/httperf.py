@@ -20,7 +20,7 @@ from typing import Dict, List, Optional
 
 from repro.core.facechange import FaceChange
 from repro.core.kernel_view import KernelViewConfig
-from repro.guest.machine import boot_machine
+from repro.guest.machine import RUN_SLICE, boot_machine
 from repro.kernel.objects import Compute, Syscall
 from repro.kernel.runtime import Platform
 
@@ -116,7 +116,7 @@ def _run_rate(
     machine.run(
         until=lambda: served["n"] >= connections,
         max_cycles=start + connections * interval * 50 + 4_000_000_000,
-        step_budget=50_000,
+        step_budget=RUN_SLICE,
     )
     if served["n"] < connections:
         raise RuntimeError(f"apache did not serve all requests at rate {rate}")

@@ -25,7 +25,7 @@ from repro.apps.base import Env
 from repro.apps.catalog import APP_CATALOG
 from repro.core.facechange import FaceChange
 from repro.core.kernel_view import KernelViewConfig
-from repro.guest.machine import Machine, boot_machine
+from repro.guest.machine import RUN_SLICE, Machine, boot_machine
 from repro.kernel.objects import Compute, Syscall
 from repro.kernel.runtime import Platform
 
@@ -232,12 +232,7 @@ def _run_subtest(
 
         task = machine.spawn("bench", lambda: bench_driver())
         start = machine.cycles
-        machine.run(
-            until=lambda: task.finished,
-            max_cycles=start + 4_000_000_000,
-            step_budget=50_000,
-        )
-        if not task.finished:
+        if not machine.run_to_exit([task], budget=4_000_000_000):
             raise RuntimeError("benchmark subtest did not finish")
         elapsed = max(1, machine.cycles - start)
         best = max(best, iterations * CYCLES_PER_SECOND / elapsed)
@@ -272,7 +267,7 @@ def run_unixbench(
             resident.append(machine.spawn(comm, factory))
         # let the resident applications' activity bursts drain so the
         # measurement sees their steady (mostly idle) state
-        machine.run(max_cycles=machine.cycles + 60_000_000, step_budget=50_000)
+        machine.run(max_cycles=machine.cycles + 60_000_000, step_budget=RUN_SLICE)
     result = UnixBenchResult(
         label=label if label is not None else f"{views} views",
         views_loaded=views,

@@ -237,8 +237,7 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
 def _cmd_trace(args: argparse.Namespace) -> int:
     """Quickstart run with the flight recorder on, narrated from its journal."""
     from repro.analysis.similarity import profile_applications
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
+    from repro.fleet.jobs import run_under_view
     from repro.guest.config import GuestConfigError
     from repro.guest.machine import boot_machine
     from repro.obs import chains_for_app, render_journal_narrative
@@ -275,31 +274,13 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if attack is not None:
         meta["attack"] = attack.name
     journal = machine.start_recording(path=args.journal, keep=True, meta=meta)
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(config, comm=args.app)
-    from repro.apps.base import launch
-
-    failed = False
-    if attack is not None:
-        print(f"running {args.app} infected with {attack.name} "
-              "under its kernel view (recording on)...")
-        handle = attack.launch(machine, scale=args.scale)
-        machine.run(
-            until=lambda: handle.finished,
-            max_cycles=machine.cycles + 60_000_000_000,
-            step_budget=50_000,
-        )
-    else:
-        print(f"running {args.app} under its kernel view (recording on)...")
-        handle = launch(
-            machine, args.app, APP_CATALOG[args.app], scale=args.scale
-        )
-        handle.run_to_completion(max_cycles=200_000_000_000)
-        failed = not handle.finished
-        if failed:
-            print("error: workload did not finish within the cycle budget",
-                  file=sys.stderr)
+    infected = f" infected with {attack.name}" if attack is not None else ""
+    print(f"running {args.app}{infected} under its kernel view (recording on)...")
+    _fc, handle = run_under_view(machine, config, args.app, args.scale, attack=attack)
+    failed = not handle.finished
+    if failed:
+        print("error: workload did not finish within the cycle budget",
+              file=sys.stderr)
     print()
     counters = format_counters(machine.telemetry)
     if counters:
@@ -332,30 +313,19 @@ def _run_sampled(
     """Shared harness for ``flame`` and ``probe``: one enforced,
     sampled run of ``app`` under its kernel view.
 
-    Returns ``(machine, fc, sampler, engine, finished)``.
+    Returns ``(machine, sampler, engine, finished)``.
     """
     from repro.analysis.similarity import profile_applications
-    from repro.apps.base import launch
-    from repro.apps.catalog import APP_CATALOG
-    from repro.core.facechange import FaceChange
+    from repro.fleet.jobs import run_under_view
+    from repro.fleet.spec import DEFAULT_SEED
     from repro.guest.machine import boot_machine
     from repro.obs.profiling.probes import ProbeEngine
-    from repro.obs.profiling.sampler import SamplingProfiler
 
     print(f"profiling {app} (scale {scale})...")
     config = profile_applications(apps=[app], scale=scale)[app]
     machine = boot_machine(config=guest)
     print(f"guest: {machine.config.label()} "
           f"(digest {machine.guest_digest[:12]})")
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(config, comm=app)
-    sampler = SamplingProfiler(
-        machine,
-        interval=interval,
-        view_provider=lambda cpu: fc.switcher.current_index[cpu],
-    )
-    sampler.install()
     engine = None
     if probe_symbols:
         engine = ProbeEngine(machine)
@@ -366,12 +336,11 @@ def _run_sampled(
             engine.arm(symbol, predicate)
     print(f"running {app} under its kernel view (sampling every "
           f"{interval} cycles)...")
-    handle = launch(
-        machine, app, APP_CATALOG[app], scale=scale, seed=seed
+    fc, handle = run_under_view(
+        machine, config, app, scale,
+        seed=DEFAULT_SEED if seed is None else seed, sample_interval=interval,
     )
-    handle.run_to_completion(max_cycles=200_000_000_000)
-    sampler.uninstall()
-    return machine, fc, sampler, engine, handle.finished
+    return machine, fc.sampler, engine, handle.finished
 
 
 def _cmd_flame(args: argparse.Namespace) -> int:
@@ -385,7 +354,7 @@ def _cmd_flame(args: argparse.Namespace) -> int:
         guest = _guest_config(args)
     except GuestConfigError as exc:
         return _fail(str(exc))
-    machine, _fc, sampler, _engine, finished = _run_sampled(
+    machine, sampler, _engine, finished = _run_sampled(
         args.app, args.scale, args.interval, args.seed, guest=guest
     )
     profile = sampler.profile
@@ -423,7 +392,7 @@ def _cmd_probe(args: argparse.Namespace) -> int:
     except GuestConfigError as exc:
         return _fail(str(exc))
     try:
-        machine, _fc, _sampler, engine, finished = _run_sampled(
+        machine, _sampler, engine, finished = _run_sampled(
             args.app,
             args.scale,
             args.interval,
@@ -528,7 +497,6 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
                 for build, (config, apps) in sorted(builds.items())
                 for app in sorted(apps)
                 if library.digest_of(app, build) is None
-                and not library.has(app)
             ]
             if missing:
                 return _fail(
@@ -549,9 +517,10 @@ def _cmd_fleet(args: argparse.Namespace) -> int:
             from repro.obs import LiveFleetView
 
             baselines = {
-                job.name: len(library.get(job.app).baseline)
+                job.name: len(
+                    library.get(job.app, job.guest_config().build_digest()).baseline
+                )
                 for job in spec.jobs
-                if library.has(job.app)
             }
             view = LiveFleetView(baselines=baselines)
             for job in spec.jobs:
@@ -1187,8 +1156,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p.add_argument(
         "path",
-        help="span journal (repro trace --journal / fleet --journal-dir) "
-        "or legacy telemetry snapshot JSON",
+        help="journal file: a span journal (repro trace --journal / "
+        "fleet --journal-dir), an ops journal or an obs archive file",
     )
     p.set_defaults(fn=_cmd_forensics)
 

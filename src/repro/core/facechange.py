@@ -18,7 +18,7 @@ recovery, and per-view EPT overrides.  The guest is never modified.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.core.kernel_view import KernelViewConfig
 from repro.core.provenance import RecoveryLog
@@ -28,6 +28,9 @@ from repro.core.view_manager import KernelView, ViewBuilder
 from repro.guest.machine import Machine
 from repro.hypervisor.vcpu import Vcpu
 from repro.hypervisor.vmexit import VmExit
+
+if TYPE_CHECKING:  # pragma: no cover - observability is imported on use
+    from repro.obs.profiling.sampler import SamplingProfiler
 
 
 class FaceChangeStats:
@@ -141,14 +144,7 @@ class FaceChange:
             self.machine.set_jit(env_jit_enabled())
         interval = os.environ.get("REPRO_SAMPLE_INTERVAL", "")
         if interval:
-            from repro.obs.profiling.sampler import SamplingProfiler
-
-            self.sampler = SamplingProfiler(
-                self.machine,
-                interval=int(interval),
-                view_provider=lambda cpu: self.switcher.current_index[cpu],
-            )
-            self.sampler.install()
+            self.attach_sampler(int(interval))
         probe_funcs = os.environ.get("REPRO_PROBE_FUNCS", "")
         if probe_funcs:
             from repro.obs.profiling.probes import ProbeEngine
@@ -158,6 +154,21 @@ class FaceChange:
                 symbol = symbol.strip()
                 if symbol:
                     self.probe_engine.arm(symbol)
+
+    def attach_sampler(self, interval: int) -> "SamplingProfiler":
+        """Install the sampling profiler, each sample labelled with the
+        view this instance's switcher has loaded on the sampled vCPU."""
+        from repro.obs.profiling.sampler import SamplingProfiler
+
+        if self.sampler is not None:
+            self.sampler.uninstall()
+        self.sampler = SamplingProfiler(
+            self.machine,
+            interval=interval,
+            view_provider=lambda cpu: self.switcher.current_index[cpu],
+        )
+        self.sampler.install()
+        return self.sampler
 
     def _detach_env_observability(self) -> None:
         if self.sampler is not None:

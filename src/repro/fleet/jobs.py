@@ -1,13 +1,18 @@
-"""Fleet job execution: the offline phase and the per-clone online phase.
+"""The paper's two phases, each with one implementation.
 
-:func:`prepare_offline_phase` runs FACE-CHANGE's offline workflow once
-per application -- profile the workload, then run the *clean* workload
-under its own view to record the benign-recovery reference (paper
-§III-B3) -- and persists both into a :class:`ProfileLibrary`.  Every
-fleet run afterwards is pure online phase: :func:`execute_job` takes a
-freshly forked clone, loads the library profile (zero re-profiling),
-launches the job's workload (optionally malware-infected) with its
-deterministic seed, and returns scores + telemetry.
+* :func:`profile_view` is the offline profiling session (§III-A) and
+  :func:`benign_baseline` the clean run that records the
+  benign-recovery reference (§III-B3); :func:`profile_app_offline` is
+  the two together, and :func:`prepare_offline_phase` persists them
+  into a :class:`ProfileLibrary` once per application;
+* :func:`run_under_view` is the enforced run (§III-B): attach
+  FACE-CHANGE, load the view, launch the workload (or its attack) with
+  a seed and run it to its exit.  :func:`execute_job` is a fleet job on
+  a freshly forked clone: the library profile (zero re-profiling),
+  one enforced run, :func:`attack_evidence`, scores and telemetry.
+
+Every harness -- Table I and II, the report, ``repro trace``/``flame``/
+``probe``, the serve daemon's workers -- goes through these.
 
 Because clones are bit-identical to freshly booted machines and seeds
 are derived deterministically, a job's virtual-cycle score is the same
@@ -23,18 +28,22 @@ from __future__ import annotations
 import time
 import traceback
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterable, List, Optional, Tuple
 
-from repro.apps.base import launch
+from repro.apps.base import WorkloadHandle, launch
 from repro.apps.catalog import APP_CATALOG
 from repro.core.facechange import FaceChange
+from repro.core.kernel_view import KernelViewConfig
 from repro.core.profiler import Profiler
-from repro.core.provenance import DEFAULT_BENIGN_RECOVERIES
+from repro.core.provenance import DEFAULT_BENIGN_RECOVERIES, RecoveryLog
 from repro.fleet.library import ProfileLibrary, ProfileLibraryError, ProfileRecord
-from repro.fleet.spec import DEFAULT_SEED, FleetJob
+from repro.fleet.spec import DEFAULT_MAX_CYCLES, DEFAULT_SEED, FleetJob
 from repro.guest.config import KVM_PVCLOCK, QEMU_TSC, GuestConfig, resolve_guest
 from repro.guest.machine import Machine, boot_machine
 from repro.telemetry.export import snapshot as telemetry_snapshot
+
+if TYPE_CHECKING:  # pragma: no cover - the malware corpus loads on first use
+    from repro.malware import Attack
 
 #: Capacity of a job's in-memory journal between segment drains.
 _JOURNAL_CAPACITY = 4096
@@ -103,6 +112,64 @@ class JobResult:
         }
 
 
+def run_under_view(
+    machine: Machine,
+    config: KernelViewConfig,
+    app: str,
+    scale: int,
+    attack: Optional["Attack"] = None,
+    seed: int = DEFAULT_SEED,
+    budget: int = DEFAULT_MAX_CYCLES,
+    benign: Iterable[str] = (),
+    progress: Optional[Callable[[Machine, FaceChange], None]] = None,
+    sample_interval: Optional[int] = None,
+) -> Tuple[FaceChange, WorkloadHandle]:
+    """The runtime phase (§III-B): one enforced run of ``app``.
+
+    Attaches FACE-CHANGE to ``machine``, loads ``config`` as ``app``'s
+    view, launches ``app`` -- or ``attack`` (an
+    :class:`~repro.malware.Attack` hosted by ``app``) -- with ``seed``,
+    and runs it to its exit within ``budget`` cycles, counted from this
+    call so an attack's own set-up (a rootkit's insmod) is charged too.
+    ``benign`` adds to the whitelist the recovery verdicts classify
+    against; ``sample_interval`` attaches the sampling profiler
+    (:meth:`FaceChange.attach_sampler`); ``progress(machine, fc)`` runs
+    before every exit check.  ``handle.finished`` tells whether the
+    workload exited in time.
+    """
+    start = machine.cycles
+    fc = FaceChange(machine)
+    fc.enable()
+    fc.load_view(config, comm=app)
+    fc.recovery.benign_reference = tuple(
+        sorted(set(benign) | set(DEFAULT_BENIGN_RECOVERIES))
+    )
+    if sample_interval is not None:
+        fc.attach_sampler(sample_interval)
+    if attack is None:
+        handle = launch(machine, app, APP_CATALOG[app], scale=scale, seed=seed)
+    else:
+        handle = attack.launch(machine, scale=scale, seed=seed)
+    machine.run_to_exit(
+        [handle],
+        budget - (machine.cycles - start),
+        None if progress is None else lambda: progress(machine, fc),
+    )
+    return fc, handle
+
+
+def attack_evidence(log: RecoveryLog, benign: Iterable[str]) -> Tuple[List[str], bool]:
+    """Table II's detection rule (§IV-A2) over one run's recovery log.
+
+    Returns the kernel functions of the anomalous recoveries left after
+    ``benign`` (the clean run's baseline) and the default whitelist are
+    subtracted, and whether any backtrace held UNKNOWN frames.
+    """
+    whitelist = tuple(set(benign) | set(DEFAULT_BENIGN_RECOVERIES))
+    evidence = sorted({e.function_name for e in log.anomalous(benign=whitelist)})
+    return evidence, any(e.has_unknown_frames for e in log.events)
+
+
 def execute_job(
     machine: Machine,
     job: FleetJob,
@@ -112,10 +179,10 @@ def execute_job(
 ) -> JobResult:
     """Run one fleet job on ``machine`` (a fresh boot or a fork).
 
-    Attaches FACE-CHANGE, loads the library profile, launches the
-    (possibly infected) workload with the job's derived seed, runs to
-    completion within the job's cycle budget, and reports scores,
-    attack evidence and the guest's telemetry snapshot.
+    One enforced run (:func:`run_under_view`) of the job's (possibly
+    infected) workload under the library profile, with the job's derived
+    seed and cycle budget; reports scores, attack evidence and the
+    guest's telemetry snapshot.
 
     ``progress`` (if given) is invoked between run steps -- a serve
     worker's heartbeat and progress-check hook.  It observes the guest
@@ -124,7 +191,7 @@ def execute_job(
     it.
     """
     assert machine.runtime is not None
-    if record.guest_digest and record.guest_digest != machine.build_digest:
+    if record.guest_digest != machine.build_digest:
         raise ProfileLibraryError(
             f"profile for {job.app!r} is pinned to guest build "
             f"{record.guest_digest[:12]} but the machine was built from "
@@ -135,43 +202,17 @@ def execute_job(
     seed = job.effective_seed(base_seed)
     started = time.perf_counter()
     start_cycles = machine.cycles
-
-    fc = FaceChange(machine)
-    fc.enable()
-    fc.load_view(record.config, comm=job.app)
-    # verdict classification uses the app's profiled baseline, so a
-    # library-covered recovery counts as benign, not anomalous
-    fc.recovery.benign_reference = tuple(
-        sorted(set(record.baseline) | set(DEFAULT_BENIGN_RECOVERIES))
-    )
-
+    attack = None
     if job.attack is not None:
         from repro.malware import ALL_ATTACKS
 
         attack = next(a for a in ALL_ATTACKS if a.name == job.attack)
-        handle = attack.launch(machine, scale=job.scale, seed=seed)
-    else:
-        handle = launch(
-            machine, job.app, APP_CATALOG[job.app], scale=job.scale, seed=seed
-        )
-    if progress is None:
-        until = lambda: handle.finished  # noqa: E731
-    else:
-        def until() -> bool:
-            progress(machine, fc)
-            return handle.finished
-    machine.run(
-        until=until,
-        max_cycles=start_cycles + job.max_cycles,
-        step_budget=50_000,
+    fc, handle = run_under_view(
+        machine, record.config, job.app, job.scale, attack=attack, seed=seed,
+        budget=job.max_cycles, benign=record.baseline, progress=progress,
     )
-
-    benign = set(record.baseline) | set(DEFAULT_BENIGN_RECOVERIES)
-    events = fc.log.anomalous(benign=tuple(benign))
-    evidence = sorted({e.function_name for e in events})
-    unknown = any(e.has_unknown_frames for e in fc.log.events)
-
-    result = JobResult(
+    evidence, unknown = attack_evidence(fc.log, record.baseline)
+    return JobResult(
         name=job.name or job.identity(),
         app=job.app,
         attack=job.attack,
@@ -186,7 +227,6 @@ def execute_job(
         wall_seconds=time.perf_counter() - started,
         telemetry=telemetry_snapshot(machine.telemetry),
     )
-    return result
 
 
 def run_job_on_fresh_machine(
@@ -300,6 +340,58 @@ def run_job_on_clone(
             clone.close()
 
 
+def profile_view(
+    app: str,
+    scale: int = 4,
+    max_cycles: int = 40_000_000_000,
+    guest: "GuestConfig | str | dict | None" = None,
+) -> KernelViewConfig:
+    """The offline phase's profiling session (§III-A).
+
+    Runs ``app``'s workload on the qemu-tsc platform of ``guest`` (the
+    default build when omitted), like the paper's independent QEMU
+    sessions, and returns the kernel-view configuration it exercised.
+    """
+    if app not in APP_CATALOG:
+        raise KeyError(
+            f"unknown application {app!r} "
+            f"(available: {', '.join(sorted(APP_CATALOG))})"
+        )
+    machine = boot_machine(config=resolve_guest(guest).with_platform(QEMU_TSC))
+    profiler = Profiler(machine)
+    try:
+        profiler.track(app)
+        profiler.install()
+        handle = launch(machine, app, APP_CATALOG[app], scale=scale)
+        if not machine.run_to_exit([handle], max_cycles):
+            raise RuntimeError(f"profiling workload for {app!r} did not finish")
+        return profiler.export(app)
+    finally:
+        profiler.uninstall()
+        machine.close()
+
+
+def benign_baseline(
+    config: KernelViewConfig,
+    app: str,
+    scale: int = 4,
+    max_cycles: int = 40_000_000_000,
+    guest: "GuestConfig | str | dict | None" = None,
+) -> List[str]:
+    """The offline phase's clean run (§III-B3).
+
+    Runs the uninfected ``app`` under ``config`` on the kvm-pvclock
+    platform of ``guest``; the functions it recovers are the benign
+    reference later runs subtract from their evidence.
+    """
+    machine = boot_machine(config=resolve_guest(guest).with_platform(KVM_PVCLOCK))
+    try:
+        fc, _handle = run_under_view(machine, config, app, scale, budget=max_cycles)
+        return sorted({e.function_name for e in fc.log.events})
+    finally:
+        machine.close()
+
+
 def profile_app_offline(
     app: str,
     scale: int = 4,
@@ -308,52 +400,16 @@ def profile_app_offline(
 ) -> ProfileRecord:
     """One application's complete offline phase, in memory.
 
-    1. a profiling session (qemu-tsc platform, like the paper's) yields
-       the kernel-view configuration;
-    2. a *clean* run of the same workload under its new view, on the
-       kvm-pvclock runtime platform, records the benign-recovery
-       reference (paper §III-B3).
-
-    Both machines are built from ``guest`` (default build when omitted);
-    the returned record is pinned to the guest's *build* digest, which
-    both platforms share.
+    :func:`profile_view` yields the kernel-view configuration and
+    :func:`benign_baseline` the benign-recovery reference, both on
+    ``guest``'s build; the returned record is pinned to that *build*
+    digest, which both platforms share.
     """
-    if app not in APP_CATALOG:
-        raise KeyError(
-            f"unknown application {app!r} "
-            f"(available: {', '.join(sorted(APP_CATALOG))})"
-        )
     guest_config = resolve_guest(guest)
-    machine = boot_machine(config=guest_config.with_platform(QEMU_TSC))
-    profiler = Profiler(machine)
-    try:
-        profiler.track(app)
-        profiler.install()
-        handle = launch(machine, app, APP_CATALOG[app], scale=scale)
-        handle.run_to_completion(max_cycles=max_cycles)
-        if not handle.finished:
-            raise RuntimeError(f"profiling workload for {app!r} did not finish")
-        config = profiler.export(app)
-    finally:
-        profiler.uninstall()
-        machine.close()
-    clean = boot_machine(config=guest_config.with_platform(KVM_PVCLOCK))
-    try:
-        fc = FaceChange(clean)
-        fc.enable()
-        fc.load_view(config, comm=app)
-        clean_handle = launch(clean, app, APP_CATALOG[app], scale=scale)
-        clean.run(
-            until=lambda: clean_handle.finished,
-            max_cycles=max_cycles,
-            step_budget=50_000,
-        )
-        baseline = sorted({e.function_name for e in fc.log.events})
-    finally:
-        clean.close()
+    config = profile_view(app, scale, max_cycles, guest_config)
     return ProfileRecord(
         config=config,
-        baseline=baseline,
+        baseline=benign_baseline(config, app, scale, max_cycles, guest_config),
         meta={
             "scale": scale,
             "max_cycles": max_cycles,
@@ -375,24 +431,15 @@ def prepare_offline_phase(
 
     Applications already profiled *on this guest build* are reused
     unless ``force``; the whole point is that this phase runs once per
-    (application, kernel build), ever.  Legacy unpinned records are
-    reused for any build (with the library's load-time warning).
+    (application, kernel build), ever.
     """
     guest_config = resolve_guest(guest)
     build = guest_config.build_digest()
     records: Dict[str, ProfileRecord] = {}
     for app in apps:
-        if not force:
-            if library.digest_of(app, build) is not None:
-                records[app] = library.get(app, build)
-                continue
-            if library.has(app):
-                current = library.get(app)
-                if not current.guest_digest:
-                    # legacy unpinned record: serve as-is
-                    records[app] = current
-                    continue
-                # pinned to a different build: profile this one too
+        if not force and library.digest_of(app, build) is not None:
+            records[app] = library.get(app, build)
+            continue
         record = profile_app_offline(
             app, scale=scale, max_cycles=max_cycles, guest=guest_config
         )

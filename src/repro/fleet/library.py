@@ -25,7 +25,6 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
@@ -37,7 +36,8 @@ from repro.memory.layout import PAGE_SIZE
 #: Record format version.  Bump when the payload schema changes.
 #: v2 adds ``guest_digest``: the kernel-build digest
 #: (:meth:`repro.guest.config.GuestConfig.build_digest`) of the guest the
-#: profile was taken on.  v1 records load as "unpinned" with a warning.
+#: profile was taken on.  Records without one (v1) are refused: a
+#: profile does not transfer across kernel builds.
 FORMAT_VERSION = 2
 _RECORD_KIND = "kernel-view-profile"
 
@@ -85,7 +85,7 @@ class ProfileRecord:
     baseline: List[str] = field(default_factory=list)
     #: free-form provenance (profiling scale, workload, creator...)
     meta: Dict[str, object] = field(default_factory=dict)
-    #: kernel-build digest the profile was taken on ("" = unpinned legacy)
+    #: kernel-build digest the profile was taken on
     guest_digest: str = ""
     digest: str = ""
 
@@ -125,10 +125,10 @@ class ProfileRecord:
         )
         guest_digest = str(data.get("guest_digest", "") or "")
         if not guest_digest:
-            warnings.warn(
-                f"profile record for {data['app']!r} is unpinned "
-                "(no guest_digest); it will be served for any guest variant",
-                stacklevel=2,
+            raise ProfileLibraryError(
+                f"profile record for {data['app']!r} is not pinned to a "
+                "kernel build (no guest_digest); re-run the offline phase "
+                "to replace it"
             )
         record = cls(
             config=config,
@@ -189,9 +189,6 @@ class ProfileLibrary:
         """Applications with a current profile, sorted."""
         return sorted(self._read_index()["profiles"])
 
-    def has(self, app: str) -> bool:
-        return app in self._read_index()["profiles"]
-
     def digest_of(self, app: str, guest_digest: Optional[str] = None) -> Optional[str]:
         """Record digest for ``app`` (optionally for one guest variant).
 
@@ -218,7 +215,8 @@ class ProfileLibrary:
         config: KernelViewConfig,
         baseline: Optional[List[str]] = None,
         meta: Optional[Dict[str, object]] = None,
-        guest_digest: str = "",
+        *,
+        guest_digest: str,
     ) -> ProfileRecord:
         """Store a profile; returns the record with its content digest.
 
@@ -229,6 +227,10 @@ class ProfileLibrary:
         idempotent; putting changed content for the same app supersedes
         the current digest and appends the old one to the app's history.
         """
+        if not guest_digest:
+            raise ProfileLibraryError(
+                f"profile for {config.app!r} must be pinned to a kernel build"
+            )
         record = ProfileRecord(
             config=config,
             baseline=list(baseline or []),
@@ -252,8 +254,7 @@ class ProfileLibrary:
                 if entry["digest"] not in history:
                     history.append(entry["digest"])
                 entry["digest"] = digest
-            if guest_digest:
-                entry.setdefault("variants", {})[guest_digest] = digest
+            entry.setdefault("variants", {})[guest_digest] = digest
             self._write_index(index)
         return record
 
@@ -284,15 +285,21 @@ class ProfileLibrary:
         """Load ``app``'s current record (checksum-validated).
 
         With ``guest_digest`` (a kernel *build* digest), the lookup
-        matches on ``(app, guest_digest)``: a record pinned to a
-        different build is refused rather than silently applied to the
-        wrong kernel; a legacy unpinned record is served with a warning
-        (emitted at load time).
+        matches on ``(app, guest_digest)`` only: a record pinned to a
+        different build is refused rather than applied to the wrong
+        kernel.
         """
         digest = self.digest_of(app, guest_digest)
         if digest is None:
-            digest = self.digest_of(app)
-        if digest is None:
+            pinned = sorted(self.variants_of(app))
+            if guest_digest and pinned:
+                raise ProfileLibraryError(
+                    f"profile for {app!r} is pinned to guest build "
+                    f"{', '.join(build[:12] for build in pinned)} but the "
+                    f"booted machine is {guest_digest[:12]}; re-run the "
+                    "offline phase on this variant (profiles do not "
+                    "transfer across kernel builds)"
+                )
             raise ProfileLibraryError(
                 f"no profile for {app!r} in library {self.root} "
                 f"(available: {', '.join(self.apps()) or 'none'})"
@@ -301,16 +308,5 @@ class ProfileLibrary:
         if record.app != app:
             raise ProfileLibraryError(
                 f"index for {app!r} points at a record for {record.app!r}"
-            )
-        if (
-            guest_digest
-            and record.guest_digest
-            and record.guest_digest != guest_digest
-        ):
-            raise ProfileLibraryError(
-                f"profile for {app!r} is pinned to guest build "
-                f"{record.guest_digest[:12]} but the booted machine is "
-                f"{guest_digest[:12]}; re-run the offline phase on this "
-                "variant (profiles do not transfer across kernel builds)"
             )
         return record

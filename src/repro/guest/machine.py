@@ -56,6 +56,10 @@ _KERNEL_DATA_MAP = 0x00040000  # 256 KiB of introspectable data
 _KERNEL_STACK_MAP = 0x00800000  # 8 MiB of kernel stacks
 _MODULE_SPACE_MAP = 0x00400000  # 4 MiB of module heap
 
+#: Retired instructions per slice of :meth:`Machine.run_to_exit`; the
+#: harnesses that run a workload to its exit all use this slice.
+RUN_SLICE = 50_000
+
 
 class Machine:
     """A booted guest VM plus its hypervisor.
@@ -341,12 +345,28 @@ class Machine:
             self.runtime.set_active_vcpu(self.vcpus[0])
         raise RuntimeError("machine run exceeded max_steps")
 
-    def run_until_finished(self, tasks, max_cycles: int = 500_000_000) -> None:
-        """Run until every task in ``tasks`` has exited."""
-        self.run(
-            max_cycles=max_cycles,
-            until=lambda: all(t.finished for t in tasks),
-        )
+    def run_to_exit(
+        self,
+        tasks: List[Any],
+        budget: int,
+        progress: Optional[Callable[[], None]] = None,
+    ) -> bool:
+        """Run until every task in ``tasks`` has exited; True if all did.
+
+        The one way a harness runs a workload to its end: slices of
+        :data:`RUN_SLICE` retired instructions, at most ``budget`` cycles
+        counted from the current virtual clock.  ``progress()`` (if
+        given) runs before every exit check, the last one included, and
+        may raise to stop the run.
+        """
+
+        def until() -> bool:
+            if progress is not None:
+                progress()
+            return all(t.finished for t in tasks)
+
+        self.run(until=until, max_cycles=self.cycles + budget, step_budget=RUN_SLICE)
+        return all(t.finished for t in tasks)
 
 
 def boot_machine(

@@ -559,10 +559,7 @@ class ServeDaemon:
     def _has_profile(self, app: str, build_digest: str) -> bool:
         if (app, build_digest) in self._records:
             return True
-        return (
-            self.library.digest_of(app, build_digest) is not None
-            or self.library.has(app)
-        )
+        return self.library.digest_of(app, build_digest) is not None
 
     def submit(
         self,

@@ -17,7 +17,7 @@ def profile_one(name, scale=3):
     profiler.track(name)
     profiler.install()
     handle = launch(machine, name, APP_CATALOG[name], scale=scale)
-    handle.run_to_completion(max_cycles=40_000_000_000)
+    machine.run_to_exit([handle], 40_000_000_000)
     assert handle.finished, name
     return machine, profiler.export(name)
 

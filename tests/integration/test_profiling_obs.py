@@ -8,6 +8,7 @@ from repro.apps.catalog import APP_CATALOG
 from repro.core.facechange import FaceChange
 from repro.core.kernel_view import KernelViewConfig
 from repro.core.rangelist import BASE_KERNEL, KernelProfile
+from repro.guest.config import DEFAULT_GUEST_CONFIG
 from repro.guest.machine import boot_machine
 from repro.kernel.runtime import Platform
 from repro.obs.profiling import ProbeEngine, ProbeError, analyze_heat
@@ -16,6 +17,7 @@ from repro.telemetry.export import snapshot as telemetry_snapshot
 from repro.telemetry.merge import merge_snapshots
 
 SEED = 1234
+DEFAULT_BUILD = DEFAULT_GUEST_CONFIG.build_digest()
 
 
 def sampled_run(app, config, scale=2, seed=SEED, interval=20_000,
@@ -38,7 +40,7 @@ def sampled_run(app, config, scale=2, seed=SEED, interval=20_000,
     for symbol in probes:
         engine.arm(symbol)
     handle = launch(machine, app, APP_CATALOG[app], scale=scale, seed=seed)
-    handle.run_to_completion(max_cycles=200_000_000_000)
+    machine.run_to_exit([handle], 200_000_000_000)
     assert handle.finished
     return machine, sampler, engine, journal
 
@@ -95,7 +97,7 @@ class TestBitIdentity:
                 machine, "find_pipe", APP_CATALOG["find_pipe"],
                 scale=2, seed=SEED,
             )
-            handle.run_to_completion(max_cycles=200_000_000_000)
+            machine.run_to_exit([handle], 200_000_000_000)
             assert handle.finished
             scores.append(
                 (machine.cycles, machine.runtime.syscalls_executed)
@@ -138,7 +140,7 @@ class TestProbes:
         probe = engine.arm("resume_userspace")
         handle = launch(machine, "top", APP_CATALOG["top"], scale=2,
                         seed=SEED)
-        handle.run_to_completion(max_cycles=200_000_000_000)
+        machine.run_to_exit([handle], 200_000_000_000)
         assert handle.finished
         assert probe.hits > 0
         assert fc.stats.view_switches > 0  # FACE-CHANGE still switched
@@ -160,7 +162,7 @@ class TestProbes:
             machine, "find_pipe", APP_CATALOG["find_pipe"],
             scale=2, seed=SEED,
         )
-        handle.run_to_completion(max_cycles=200_000_000_000)
+        machine.run_to_exit([handle], 200_000_000_000)
         assert handle.finished
         assert probe.hits > 0  # the consumer child reads the pipe
 
@@ -209,7 +211,9 @@ class TestHeat:
         monkeypatch.setenv("REPRO_SAMPLE_INTERVAL", "20000")
         snapshots = []
         for app, seed in (("find_pipe", 11), ("top", 22)):
-            record = ProfileRecord(config=app_configs[app], baseline=[])
+            record = ProfileRecord(
+                config=app_configs[app], baseline=[], guest_digest=DEFAULT_BUILD
+            )
             job = FleetJob(app=app, scale=2, seed=seed, name=f"{app}#0")
             result = run_job_on_fresh_machine(job, record)
             assert result.ok
@@ -237,7 +241,7 @@ class TestHeat:
         from repro.fleet.spec import FleetJob
 
         record = ProfileRecord(
-            config=app_configs["find_pipe"], baseline=[]
+            config=app_configs["find_pipe"], baseline=[], guest_digest=DEFAULT_BUILD
         )
         results = [
             run_job_on_fresh_machine(

@@ -508,3 +508,26 @@ def test_auto_profile_of_one_app_does_not_stall_other_jobs(
         release.set()
         daemon.shutdown(timeout=30.0)
     assert "gzip profile abandoned" in daemon.queue.get(gzip.id).error
+
+
+def test_auto_profile_profiles_a_build_the_library_lacks(tmp_path):
+    """A library holding top for the default build only: a top job on
+    the no-net build is profiled on no-net first, then completes."""
+    from repro.guest.config import VARIANTS
+
+    library = ProfileLibrary(tmp_path / "lib")
+    prepare_offline_phase(library, ["top"], scale=1)
+    no_net = VARIANTS["no-net"].build_digest()
+    assert library.digest_of("top", no_net) is None
+    daemon = ServeDaemon(
+        library, min_workers=1, max_workers=1, warm_target=0,
+        auto_profile=True, profile_scale=1,
+    )
+    daemon.start()
+    try:
+        qjob = daemon.submit({"app": "top", "scale": 1, "guest": "no-net"})
+        done = daemon.queue.wait_terminal(qjob.id, timeout=60.0)
+        assert done is not None and done.state == "done", done and done.error
+    finally:
+        daemon.shutdown(timeout=30.0)
+    assert library.get("top", no_net).guest_digest == no_net

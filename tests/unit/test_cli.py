@@ -272,6 +272,24 @@ def test_guest_show_unknown_variant_fails(capsys):
     assert "unknown guest variant" in capsys.readouterr().err
 
 
+def test_trace_attack_that_does_not_finish_fails(monkeypatch, capsys):
+    import repro.analysis.similarity as similarity
+    from repro.guest.machine import Machine
+
+    config = similarity.profile_applications(apps=["top"], scale=1)["top"]
+    monkeypatch.setattr(
+        similarity, "profile_applications", lambda apps, scale: {"top": config}
+    )
+    real = Machine.run_to_exit
+
+    def tiny(self, tasks, budget, progress=None):
+        return real(self, tasks, min(budget, 10_000), progress)
+
+    monkeypatch.setattr(Machine, "run_to_exit", tiny)
+    assert main(["--scale", "1", "trace", "top", "--attack", "Injectso"]) == 1
+    assert "did not finish" in capsys.readouterr().err
+
+
 def test_trace_rejects_bad_guest_flags(capsys):
     assert main(["trace", "top", "--guest", "nosuch"]) != 0
     assert "unknown guest variant" in capsys.readouterr().err

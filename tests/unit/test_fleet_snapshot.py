@@ -94,7 +94,7 @@ def test_clone_supports_facechange_enforcement(snapshot):
     profiler.track("top")
     profiler.install()
     handle = launch(profiling, "top", APP_CATALOG["top"], scale=2)
-    handle.run_to_completion(max_cycles=60_000_000_000)
+    profiling.run_to_exit([handle], 60_000_000_000)
     config = profiler.export("top")
 
     clone = snapshot.fork()

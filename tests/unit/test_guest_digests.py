@@ -4,16 +4,19 @@ The guest-variant refactor threads two digests through the stack --
 ``GuestConfig.digest()`` (machine identity) and ``build_digest()``
 (kernel build, platform excluded).  These tests pin the refusal
 behaviour: a profile pinned to one build is never served to another, a
-snapshot never forks a job pinned to a different variant, legacy
-unpinned records still load (with a warning), and sampled stacks from
-different variants never fold together.
+snapshot never forks a job pinned to a different variant, unpinned
+records are refused, and sampled stacks from different variants never
+fold together.
 """
+
+import hashlib
+import json
 
 import pytest
 
 from repro.core.kernel_view import KernelViewConfig
 from repro.core.rangelist import KernelProfile
-from repro.fleet.library import ProfileLibrary, ProfileLibraryError
+from repro.fleet.library import ProfileLibrary, ProfileLibraryError, ProfileRecord
 from repro.fleet.snapshot import SnapshotError
 from repro.guest import boot_machine
 from repro.guest.config import DEFAULT_GUEST_CONFIG, QEMU_TSC, VARIANTS
@@ -71,12 +74,28 @@ def test_one_app_pins_one_record_per_build(tmp_path):
     assert library.digest_of("top", DEFAULT_BUILD) is not None
 
 
-def test_legacy_unpinned_record_warns_and_serves_any_variant(tmp_path):
+def test_unpinned_record_is_refused(tmp_path):
+    """A record without a build pin (the format-1 layout) names its app
+    in the refusal, is never served for another build, and cannot be
+    stored."""
     library = ProfileLibrary(tmp_path)
-    library.put(_config())  # no guest_digest: the pre-refactor format
-    with pytest.warns(UserWarning, match="unpinned"):
-        record = library.get("top", guest_digest=OTHER_BUILD)
-    assert record.guest_digest == ""
+    with pytest.raises(ProfileLibraryError, match="'top' must be pinned"):
+        library.put(_config(), guest_digest="")
+    # lay the record down the way a format-1 library did
+    blob = json.dumps(
+        ProfileRecord(config=_config()).payload(),
+        sort_keys=True, separators=(",", ":"),
+    ).encode()
+    digest = hashlib.sha256(blob).hexdigest()
+    (tmp_path / "objects").mkdir()
+    (tmp_path / "objects" / f"{digest}.json").write_bytes(blob)
+    (tmp_path / "index.json").write_text(json.dumps(
+        {"format": 1, "profiles": {"top": {"digest": digest, "history": []}}}
+    ))
+    with pytest.raises(ProfileLibraryError, match="'top' is not pinned"):
+        library.get("top")
+    with pytest.raises(ProfileLibraryError, match="no profile for 'top'"):
+        library.get("top", guest_digest=OTHER_BUILD)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from repro.fleet.library import (
     ProfileRecord,
 )
 
-#: A kernel-build digest: pinned records load without the unpinned warning.
+#: A kernel-build digest: the library stores pinned records only.
 BUILD = "feedface" * 8
 
 
@@ -40,8 +40,8 @@ def test_put_get_round_trip(tmp_path):
 
 def test_put_is_idempotent_and_content_addressed(tmp_path):
     library = ProfileLibrary(tmp_path)
-    first = library.put(_config())
-    second = library.put(_config())
+    first = library.put(_config(), guest_digest=BUILD)
+    second = library.put(_config(), guest_digest=BUILD)
     assert first.digest == second.digest
     assert len(list((tmp_path / "objects").iterdir())) == 1
 
@@ -60,7 +60,7 @@ def test_new_content_supersedes_and_keeps_history(tmp_path):
 
 def test_tampered_object_fails_checksum(tmp_path):
     library = ProfileLibrary(tmp_path)
-    record = library.put(_config())
+    record = library.put(_config(), guest_digest=BUILD)
     path = tmp_path / "objects" / f"{record.digest}.json"
     blob = json.loads(path.read_text())
     blob["notes"] = "tampered"
@@ -79,7 +79,7 @@ def test_inconsistent_frame_deltas_rejected():
 
 def test_unknown_app_is_an_error(tmp_path):
     library = ProfileLibrary(tmp_path)
-    library.put(_config())
+    library.put(_config(), guest_digest=BUILD)
     with pytest.raises(ProfileLibraryError, match="no profile for 'gzip'"):
         library.get("gzip")
 
@@ -94,7 +94,7 @@ def test_future_format_version_rejected(tmp_path):
 
 def test_missing_object_reported(tmp_path):
     library = ProfileLibrary(tmp_path)
-    record = library.put(_config())
+    record = library.put(_config(), guest_digest=BUILD)
     (tmp_path / "objects" / f"{record.digest}.json").unlink()
     with pytest.raises(ProfileLibraryError, match="missing profile object"):
         library.get("top")
@@ -103,4 +103,4 @@ def test_missing_object_reported(tmp_path):
 def test_empty_library_lists_nothing(tmp_path):
     library = ProfileLibrary(tmp_path / "nonexistent")
     assert library.apps() == []
-    assert not library.has("top")
+    assert library.digest_of("top") is None

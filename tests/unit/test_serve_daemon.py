@@ -221,6 +221,21 @@ def test_no_profile_rejection_without_auto_profile(tmp_path):
         daemon.shutdown(timeout=5.0)
 
 
+def test_no_profile_rejection_for_a_build_the_library_lacks(serve_library):
+    """top is profiled on the default build only, so a job on the
+    no-net build has no profile: a record pinned to another build does
+    not admit it."""
+    daemon = ServeDaemon(serve_library, auto_profile=False)
+    try:
+        with pytest.raises(AdmissionError) as err:
+            daemon.submit({"app": "top", "scale": 1, "guest": "no-net"})
+        assert err.value.reason == REASON_NO_PROFILE
+        rejected = _events(daemon, "rejected")
+        assert rejected and rejected[0]["reason"] == REASON_NO_PROFILE
+    finally:
+        daemon.shutdown(timeout=5.0)
+
+
 # ---------------------------------------------------------------------------
 # shutdown semantics
 # ---------------------------------------------------------------------------
